@@ -9,11 +9,20 @@ exchangeable example at or below alpha. If even lambda = 1 fails the bound
 (possible for small n, where the bound goes negative), calibration falls back
 to lambda = 1 and reports infeasibility; the guarantee still holds there
 because the full set has zero loss.
+
+Every risk and every ``<= bound`` decision here reads one ``RiskStep``: the
+ground-truth scores of all examples sorted once, each weighted 1/|T_i| by
+its example, with prefix sums of the weight of the tokens a cutoff misses.
+Building it takes O(M log M) time and O(M) memory for M ground-truth tokens;
+the risk at any set of thresholds is then one ``searchsorted``. A decision
+whose float risk lies within a small window of the bound is redone exactly
+in rationals, so ties do not depend on the order of float summation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 import numpy as np
@@ -27,6 +36,12 @@ DEFAULT_GRID_SIZE = 1001
 
 MODE_EXACT = "exact"
 MODE_GRID = "grid"
+
+# Float risks this close to the bound are decided exactly. The float risk
+# errs by less than (M + 2) * eps for M ground-truth tokens (rounding of the
+# weights, their prefix sums and the division by n); the window widens to
+# that should it ever be larger.
+TIE_WINDOW = 1e-9
 
 
 @dataclass(frozen=True)
@@ -115,39 +130,76 @@ def adjusted_bound(alpha: float, n: int) -> float:
     return alpha - (1.0 - alpha) / n
 
 
-def _truth_score_arrays(examples: Sequence[CalibrationExample]) -> list[np.ndarray]:
-    if len(examples) == 0:
-        raise ValueError("need at least one calibration example")
-    out = []
-    for ex in examples:
-        vals = ex.scores.values
-        arr = np.sort(np.array([vals[j] for j in ex.explanation.indices], dtype=np.float64))
-        if arr.size == 0:
-            raise ValueError(f"example {ex.question.id!r} has an empty explanation")
-        out.append(arr)
-    return out
+class RiskStep:
+    """The empirical risk of a calibration set as a step function of lambda.
 
-
-def _risks_at(examples: Sequence[CalibrationExample], lambdas: np.ndarray) -> np.ndarray:
-    """Empirical risk at every lambda, vectorized.
-
-    A token at position j enters the set iff score_j >= 1 - lambda, so the
-    per-example loss at lambda needs only the sorted scores of the example's
-    ground-truth positions.
+    A token with score s enters the set at lambda iff s >= 1 - lambda (the
+    float subtraction, ties included). So an example's loss at lambda is the
+    share of its truth scores below 1 - lambda, and the risk is the missed
+    weight, each truth score weighing 1/|T_i|, below that cutoff divided by n.
+    The truth scores of all examples are sorted once with their weights, and
+    ``missed[k]`` is the weight of the k smallest, so the risk at lambda is
+    ``missed[searchsorted(truth, 1 - lambda, side="left")] / n``. It is exactly
+    0.0 at lambda = 1 and non-increasing in lambda.
     """
-    lam = np.atleast_1d(np.asarray(lambdas, dtype=np.float64))
-    cutoffs = 1.0 - lam
-    arrays = _truth_score_arrays(examples)
-    losses = np.empty((len(arrays), lam.size), dtype=np.float64)
-    for i, arr in enumerate(arrays):
-        covered = arr.size - np.searchsorted(arr, cutoffs, side="left")
-        losses[i] = 1.0 - covered / arr.size
-    return losses.mean(axis=0)
+
+    def __init__(self, examples: Sequence[CalibrationExample]):
+        if len(examples) == 0:
+            raise ValueError("need at least one calibration example")
+        scores: list[float] = []
+        sizes: list[int] = []
+        for ex in examples:
+            idx = ex.explanation.indices
+            if not idx:
+                raise ValueError(f"example {ex.question.id!r} has an empty explanation")
+            vals = ex.scores.values
+            scores.extend(vals[j] for j in idx)
+            sizes.append(len(idx))
+        truth = np.asarray(scores, dtype=np.float64)
+        order = np.argsort(truth, kind="stable")
+        self.n = len(examples)
+        self._truth = truth[order]
+        # truth size of the example owning each sorted score
+        self._sizes = np.repeat(np.asarray(sizes, dtype=np.int64), sizes)[order]
+        self._missed = np.concatenate(([0.0], np.cumsum(1.0 / self._sizes)))
+        self._window = max(TIE_WINDOW, (self._truth.size + 2) * np.finfo(np.float64).eps)
+
+    def _at(self, lambdas: Sequence[float] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Number of truth scores each threshold misses, and its risk."""
+        lam = np.atleast_1d(np.asarray(lambdas, dtype=np.float64))
+        cut = np.searchsorted(self._truth, 1.0 - lam, side="left")
+        return cut, self._missed[cut] / self.n
+
+    def risks(self, lambdas: Sequence[float] | np.ndarray) -> np.ndarray:
+        """Empirical risk at each threshold."""
+        return self._at(lambdas)[1]
+
+    def _exact_missed(self, k: int) -> Fraction:
+        """Missed weight of the k smallest truth scores, as an exact rational."""
+        counts = np.bincount(self._sizes[:k])
+        return sum((Fraction(int(c), t) for t, c in enumerate(counts) if c), Fraction(0))
+
+    def within(self, lambdas: Sequence[float] | np.ndarray, bound: float) -> np.ndarray:
+        """Whether the empirical risk at each threshold is at most ``bound``.
+
+        Away from the bound the float risk decides. Within the tie window,
+        the missed weight is recounted exactly, sum over truth sizes t of
+        (missed tokens of size-t examples) / t, and compared with n times
+        the float bound as a rational.
+        """
+        cut, risk = self._at(lambdas)
+        ok = risk <= bound
+        near = np.abs(risk - bound) <= self._window
+        if near.any():
+            limit = Fraction(bound) * self.n
+            for k in np.unique(cut[near]):
+                ok[cut == k] = self._exact_missed(int(k)) <= limit
+        return ok
 
 
 def empirical_risk(examples: Sequence[CalibrationExample], lam: float) -> float:
     """Mean coverage loss over the calibration examples at threshold ``lam``."""
-    return float(_risks_at(examples, np.array([lam]))[0])
+    return float(RiskStep(examples).risks([lam])[0])
 
 
 def critical_thresholds(examples: Sequence[CalibrationExample]) -> np.ndarray:
@@ -163,17 +215,17 @@ def critical_thresholds(examples: Sequence[CalibrationExample]) -> np.ndarray:
     return np.unique(np.asarray(vals, dtype=np.float64))
 
 
-def _result_from_curve(
+def _first_feasible(
+    step: RiskStep,
     lambdas: np.ndarray,
-    risks: np.ndarray,
     alpha: float,
-    n: int,
     mode: str,
     grid_size: int | None,
     scorer_id: str | None,
 ) -> CalibrationResult:
-    bound = adjusted_bound(alpha, n)
-    feasible_at = np.nonzero(risks <= bound)[0]
+    """The smallest of the ascending ``lambdas`` whose risk meets the bound."""
+    bound = adjusted_bound(alpha, step.n)
+    feasible_at = np.flatnonzero(step.within(lambdas, bound))
     if feasible_at.size > 0:
         lam_hat, feasible = float(lambdas[feasible_at[0]]), True
     else:
@@ -181,7 +233,7 @@ def _result_from_curve(
     return CalibrationResult(
         lambda_hat=lam_hat,
         alpha=alpha,
-        n=n,
+        n=step.n,
         adjusted_bound=bound,
         feasible=feasible,
         mode=mode,
@@ -199,11 +251,13 @@ def calibrate_exact(
 
     Returns the smallest threshold whose empirical risk meets the adjusted
     bound; no threshold strictly below it is feasible. Score-equals-cutoff
-    ties are included in the set, with no epsilon slack anywhere.
+    ties are included in the set, with no epsilon slack anywhere, and a risk
+    equal to the bound counts as meeting it, exactly. Sorting the candidates
+    and the truth scores dominates: O(K log K) time and O(K) memory for K
+    scores in all.
     """
     lambdas = critical_thresholds(examples)
-    risks = _risks_at(examples, lambdas)
-    return _result_from_curve(lambdas, risks, alpha, len(examples), MODE_EXACT, None, scorer_id)
+    return _first_feasible(RiskStep(examples), lambdas, alpha, MODE_EXACT, None, scorer_id)
 
 
 def uniform_grid(size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
@@ -230,42 +284,14 @@ def calibrate_grid(
     grid: Sequence[float] | np.ndarray | None = None,
     scorer_id: str | None = None,
 ) -> CalibrationResult:
-    """Calibrate by binary search on an ascending threshold grid ending at 1.
+    """Calibrate on an ascending threshold grid ending at 1.
 
-    Feasibility is monotone in the grid index because the empirical risk is
-    non-increasing, so bisection lands on the smallest feasible grid point;
-    if even the last point fails the bound the result is infeasible with
-    lambda 1.
+    Returns the smallest grid point whose empirical risk meets the bound,
+    decided like ``calibrate_exact`` on the same risk step; if even the last
+    point fails the result is infeasible with lambda 1.
     """
     g = _check_grid(uniform_grid() if grid is None else grid)
-    n = len(examples)
-    bound = adjusted_bound(alpha, n)
-
-    def probe(lam: float) -> float:
-        return float(_risks_at(examples, np.array([lam]))[0])
-
-    low, high = 0, g.size - 1
-    while low < high:
-        mid = (low + high) // 2
-        if probe(float(g[mid])) <= bound:
-            high = mid
-        else:
-            low = mid + 1
-    lam_low = float(g[low])
-    if probe(lam_low) <= bound:
-        lam_hat, feasible = lam_low, True
-    else:
-        lam_hat, feasible = 1.0, False
-    return CalibrationResult(
-        lambda_hat=lam_hat,
-        alpha=alpha,
-        n=n,
-        adjusted_bound=bound,
-        feasible=feasible,
-        mode=MODE_GRID,
-        grid_size=int(g.size),
-        scorer_id=scorer_id,
-    )
+    return _first_feasible(RiskStep(examples), g, alpha, MODE_GRID, int(g.size), scorer_id)
 
 
 def risk_curve(
@@ -274,5 +300,5 @@ def risk_curve(
 ) -> RiskCurve:
     """Evaluate the empirical risk on a grid (default: 1001 uniform points)."""
     g = np.asarray(uniform_grid() if grid is None else grid, dtype=np.float64)
-    risks = _risks_at(examples, g)
+    risks = RiskStep(examples).risks(g)
     return RiskCurve(thresholds=tuple(g.tolist()), risks=tuple(risks.tolist()), n=len(examples))

@@ -19,6 +19,7 @@ from typing import Any, Sequence
 
 from .calibrate import (
     CalibrationResult,
+    RiskStep,
     adjusted_bound,
     calibrate_exact,
     calibrate_grid,
@@ -269,7 +270,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
         )
     recomputed = empirical_risk(examples, result.lambda_hat)
     if result.feasible:
-        if recomputed > expected_bound:
+        # the same exact-at-ties decision that calibration made
+        if not RiskStep(examples).within([result.lambda_hat], expected_bound)[0]:
             problems.append(
                 f"empirical risk at lambda_hat is {recomputed!r}, above the bound {expected_bound!r}"
             )

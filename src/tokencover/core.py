@@ -177,10 +177,12 @@ def load_dataset(path: str | Path, clamp_scores: bool = False) -> Dataset:
     Each line holds an object with fields ``id``, ``tokens``, ``scores``,
     ``explanation_indices`` and optionally ``answer``. With ``clamp_scores``
     numeric scores outside [0, 1] are clamped instead of rejected. Errors
-    name the offending line, record and field.
+    name the offending line, record and field; a repeated id is rejected
+    with the lines of both records.
     """
     path = Path(path)
     examples: list[CalibrationExample] = []
+    first_line: dict[str, int] = {}
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -196,6 +198,12 @@ def load_dataset(path: str | Path, clamp_scores: bool = False) -> Dataset:
             if problems:
                 detail = "; ".join(problems)
                 raise DatasetError(f"line {lineno} (id={example.question.id!r}): {detail}")
+            rid = example.question.id
+            if rid in first_line:
+                raise DatasetError(
+                    f"line {lineno}: duplicate id {rid!r}, first used on line {first_line[rid]}"
+                )
+            first_line[rid] = lineno
             examples.append(example)
     if not examples:
         raise DatasetError(f"{path}: dataset contains no records")

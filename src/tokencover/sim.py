@@ -15,14 +15,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .calibrate import (
-    MODE_EXACT,
-    MODE_GRID,
-    _result_from_curve,
-    _risks_at,
-    calibrate_grid,
-    critical_thresholds,
-)
+from .calibrate import MODE_EXACT, MODE_GRID, calibrate_exact, calibrate_grid
 from .core import (
     CalibrationExample,
     Dataset,
@@ -225,19 +218,14 @@ def _run_trial(
     scorer = oracle_scorer(config, dataset, seed=trial_seed)
     cal, test = _split_counts(config, dataset, trial_seed)
     cal_examples = list(cal.examples)
-    n = len(cal_examples)
 
     if mode == MODE_EXACT:
-        lambdas = critical_thresholds(cal_examples)
-        risks = _risks_at(cal_examples, lambdas)
-        results = {
-            a: _result_from_curve(lambdas, risks, a, n, MODE_EXACT, None, scorer.identity)
-            for a in alphas
-        }
+        calibrate = calibrate_exact
     elif mode == MODE_GRID:
-        results = {a: calibrate_grid(cal_examples, a, scorer_id=scorer.identity) for a in alphas}
+        calibrate = calibrate_grid
     else:
         raise ValueError(f"mode must be 'exact' or 'grid', got {mode!r}")
+    results = {a: calibrate(cal_examples, a, scorer_id=scorer.identity) for a in alphas}
 
     lexicon = None
     spec = None

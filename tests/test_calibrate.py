@@ -7,6 +7,9 @@ against straight-line code rather than against themselves.
 
 from __future__ import annotations
 
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -362,3 +365,101 @@ class TestCalibrationResultSerialization:
             mode="exact",
         )
         assert CalibrationResult.from_dict(res.to_dict()) == res
+
+
+def tie_prone_examples(rng, n):
+    """Scores on a 0.01 lattice and truth sizes 3-6, so that exact risks
+    often land on the rational bound alpha - (1 - alpha)/n."""
+    examples = []
+    for i in range(n):
+        t = int(rng.integers(3, 7))
+        k = t + int(rng.integers(0, 4))
+        scores = np.round(rng.random(k), 2).tolist()
+        truth = rng.choice(k, size=t, replace=False).tolist()
+        examples.append(make_example([f"t{j}" for j in range(k)], scores, truth, qid=f"q{i}"))
+    return examples
+
+
+def fraction_first_feasible(examples, alpha):
+    """First critical threshold whose exact risk is at most the float bound
+    taken as a rational; membership is the float test s >= 1 - lam. Risks are
+    counted in integer units of 1/(60 n), 60 being a multiple of every truth
+    size 3-6. Also says whether a risk next to the answer sat on the bound."""
+    n = len(examples)
+    limit = Fraction(adjusted_bound(alpha, n)) * 60 * n
+    truth = np.array([ex.scores.values[j] for ex in examples for j in ex.explanation.indices])
+    units = np.array([60 // len(ex.explanation) for ex in examples
+                      for _ in ex.explanation.indices], dtype=np.int64)
+    lams = critical_thresholds(examples)
+    missed = (truth[None, :] < (1.0 - lams)[:, None]).astype(np.int64) @ units
+    tie = False
+    for lam, m in zip(lams, missed):
+        tie = tie or abs(int(m) - limit) < Fraction(60 * n, 10**12)
+        if int(m) <= limit:
+            return float(lam), True, tie
+    return 1.0, False, tie
+
+
+def like_calibrate_large(rng, n):
+    """k cycles 8-16 with round(0.4 k) truth positions (sizes 3-6); scores
+    are 1 on truth and 0 elsewhere plus N(0, 0.3^2) noise, clamped."""
+    examples = []
+    for i in range(n):
+        k = 8 + i % 9
+        truth = rng.choice(k, size=round(0.4 * k), replace=False).tolist()
+        base = np.zeros(k)
+        base[truth] = 1.0
+        scores = np.clip(base + 0.3 * rng.standard_normal(k), 0.0, 1.0).tolist()
+        examples.append(make_example([f"t{j}" for j in range(k)], scores, truth, qid=f"q{i}"))
+    return examples
+
+
+class TestOneDecisionAtTies:
+    def test_exact_and_grid_match_fraction_brute_force(self):
+        rng = np.random.default_rng(1500)
+        alphas = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5)
+        exact_ties = 0
+        for i in range(1500):
+            n = (20, 50, 100, 200)[i % 4]
+            examples = tie_prone_examples(rng, n)
+            alpha = float(rng.choice(alphas))
+            lam, feasible, tie = fraction_first_feasible(examples, alpha)
+            exact = calibrate_exact(examples, alpha)
+            assert (exact.lambda_hat, exact.feasible) == (lam, feasible), i
+            on_critical = calibrate_grid(examples, alpha, grid=critical_thresholds(examples))
+            assert (on_critical.lambda_hat, on_critical.feasible) == (lam, feasible), i
+            exact_ties += tie
+        # the data must actually put risks on the bound for this to test ties
+        assert exact_ties >= 20
+
+    def test_risk_equal_to_bound_is_feasible(self):
+        # 3,996 of 20,000 truth tokens missed at lambda = 1 - 0.9: the exact
+        # risk is 3996 / 5 / 4000 = 999/5000 = 0.2 - 0.8/4000, the bound
+        n = 4000
+        examples = [
+            make_example(["a", "b", "c", "d", "e"], [0.25 if i < 3996 else 0.9] + [0.9] * 4,
+                         range(5), qid=f"q{i}")
+            for i in range(n)
+        ]
+        bound = adjusted_bound(0.2, n)
+        assert Fraction(3996, 5 * n) <= Fraction(bound)
+        assert abs(empirical_risk(examples, 1.0 - 0.9) - bound) < 1e-12
+        for res in (calibrate_exact(examples, 0.2),
+                    calibrate_grid(examples, 0.2, grid=critical_thresholds(examples))):
+            assert res.feasible and res.lambda_hat == 1.0 - 0.9
+
+
+class TestLinearMemory:
+    def test_exact_calibration_peak_memory_at_n_4000(self):
+        examples = like_calibrate_large(np.random.default_rng(4000), 4000)
+        tracemalloc.start()
+        try:
+            calibrate_exact(examples, 0.2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
+
+    def test_risk_curve_ends_at_exact_zero(self):
+        examples = like_calibrate_large(np.random.default_rng(4001), 4000)
+        assert risk_curve(examples).risks[-1] == 0.0

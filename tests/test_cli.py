@@ -15,6 +15,7 @@ from tokencover.core import (
     CalibrationExample,
     Dataset,
     GroundTruthExplanation,
+    ImportanceScores,
     TokenizedQuestion,
     load_dataset,
     write_dataset,
@@ -354,6 +355,32 @@ class TestStatsCommand:
         _, calib = run_calibrate(tmp_path, data_path)
         self.tamper(calib, n=7)
         assert main(["stats", "--dataset", data_path, "--calibration", str(calib)]) == EXIT_VERIFY
+
+    def test_risk_equal_to_bound_verifies(self, tmp_path, capsys):
+        # at lambda = 1 - 0.9 the exact risk is 3996 / 5 / 4000 = 999/5000,
+        # the bound at alpha = 0.2; summed in floats it lands just above it
+        n = 4000
+        ds = Dataset(examples=tuple(
+            CalibrationExample(
+                question=TokenizedQuestion(id=f"q{i}", tokens=("a", "b", "c", "d", "e", "f")),
+                scores=ImportanceScores((0.25 if i < 3996 else 0.9, 0.9, 0.9, 0.9, 0.9, 0.1)),
+                explanation=GroundTruthExplanation(frozenset(range(5))),
+            )
+            for i in range(n)
+        ))
+        data_path = tmp_path / "tie.jsonl"
+        write_dataset(ds, data_path)
+        curve = tmp_path / "curve.csv"
+        code, calib = run_calibrate(tmp_path, str(data_path), alpha="0.2",
+                                    extra=("--curve-out", str(curve)))
+        assert code == EXIT_OK
+        assert json.loads(calib.read_text())["lambda_hat"] == 1.0 - 0.9
+        assert curve.read_text().splitlines()[-1] == f"1.0,0.0,{n}"
+        out = tmp_path / "stats.json"
+        code = main(["stats", "--dataset", str(data_path), "--calibration", str(calib),
+                     "--out", str(out)])
+        assert code == EXIT_OK, capsys.readouterr().err
+        assert json.loads(out.read_text())["bound_satisfied"] is True
 
     def test_false_infeasibility_detected(self, workdir):
         tmp_path, data_path, _ = workdir

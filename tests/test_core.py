@@ -162,6 +162,14 @@ class TestLoadDatasetErrors:
         with pytest.raises(DatasetError, match="line 1.*object"):
             load_dataset(path)
 
+    def test_duplicate_id_names_both_lines(self, tmp_path):
+        first = {"id": "a", "tokens": ["x"], "scores": [0.5], "explanation_indices": [0]}
+        other = {"id": "b", "tokens": ["y"], "scores": [0.1], "explanation_indices": [0]}
+        again = {"id": "a", "tokens": ["z"], "scores": [0.9], "explanation_indices": [0]}
+        path = self._write(tmp_path, [json.dumps(r) for r in (first, other, again)])
+        with pytest.raises(DatasetError, match=r"line 3: duplicate id 'a'.*line 1"):
+            load_dataset(path)
+
 
 class TestSplitDataset:
     def test_sizes_ten_at_point_seven(self):

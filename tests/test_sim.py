@@ -193,6 +193,14 @@ class TestRunCoverageExperiment:
         assert rep.superset_rate == 1.0
         assert rep.comparator_mean_loss is not None
 
+    def test_grid_lambda_not_below_exact_at_a_tie(self):
+        # a trial whose risk sits on the bound at alpha = 0.1: summed in two
+        # float orders, grid once found 0.431 feasible while exact did not
+        cfg = SyntheticConfig(n_calibration=100, n_test=100, seed=1875844242)
+        [exact] = run_coverage_experiment(cfg, [0.1], trials=1, mode="exact")
+        [grid] = run_coverage_experiment(cfg, [0.1], trials=1, mode="grid")
+        assert grid.mean_lambda >= exact.mean_lambda
+
     def test_validation(self):
         with pytest.raises(ValueError, match="trials"):
             run_coverage_experiment(SMALL, alpha=0.3, trials=0)
