@@ -17,6 +17,10 @@ Building it takes O(M log M) time and O(M) memory for M ground-truth tokens;
 the risk at any set of thresholds is then one ``searchsorted``. A decision
 whose float risk lies within a small window of the bound is redone exactly
 in rationals, so ties do not depend on the order of float summation.
+
+The step and the critical thresholds read a dataset's ``ScoredArrays``
+(flat scores, offsets and truth mask). Every function here also takes a
+sequence of ``CalibrationExample``, flattened into arrays once per call.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 import numpy as np
 
-from .core import CalibrationExample, GroundTruthExplanation
+from .core import CalibrationExample, GroundTruthExplanation, ScoredArrays
 
 if TYPE_CHECKING:
     from .sets import UncertaintySet
@@ -36,6 +40,9 @@ DEFAULT_GRID_SIZE = 1001
 
 MODE_EXACT = "exact"
 MODE_GRID = "grid"
+
+# A calibration set: its arrays, or examples that are flattened into them.
+Scored = ScoredArrays | Sequence[CalibrationExample]
 
 # Float risks this close to the bound are decided exactly. The float risk
 # errs by less than (M + 2) * eps for M ground-truth tokens (rounding of the
@@ -143,24 +150,22 @@ class RiskStep:
     0.0 at lambda = 1 and non-increasing in lambda.
     """
 
-    def __init__(self, examples: Sequence[CalibrationExample]):
-        if len(examples) == 0:
+    def __init__(self, examples: Scored):
+        arrays = _as_arrays(examples)
+        if len(arrays) == 0:
             raise ValueError("need at least one calibration example")
-        scores: list[float] = []
-        sizes: list[int] = []
-        for ex in examples:
-            idx = ex.explanation.indices
-            if not idx:
-                raise ValueError(f"example {ex.question.id!r} has an empty explanation")
-            vals = ex.scores.values
-            scores.extend(vals[j] for j in idx)
-            sizes.append(len(idx))
-        truth = np.asarray(scores, dtype=np.float64)
+        marked = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(arrays.truth)))
+        sizes = marked[arrays.offsets[1:]] - marked[arrays.offsets[:-1]]
+        if not sizes.all():
+            empty = arrays.ids[int(np.argmin(sizes))]
+            raise ValueError(f"example {empty!r} has an empty explanation")
+        # example by example, so equal scores keep the order the sums were taken in
+        truth = arrays.scores[arrays.truth]
         order = np.argsort(truth, kind="stable")
-        self.n = len(examples)
+        self.n = len(arrays)
         self._truth = truth[order]
         # truth size of the example owning each sorted score
-        self._sizes = np.repeat(np.asarray(sizes, dtype=np.int64), sizes)[order]
+        self._sizes = np.repeat(sizes, sizes)[order]
         self._missed = np.concatenate(([0.0], np.cumsum(1.0 / self._sizes)))
         self._window = max(TIE_WINDOW, (self._truth.size + 2) * np.finfo(np.float64).eps)
 
@@ -197,22 +202,25 @@ class RiskStep:
         return ok
 
 
-def empirical_risk(examples: Sequence[CalibrationExample], lam: float) -> float:
+def _as_arrays(examples: Scored) -> ScoredArrays:
+    return examples if isinstance(examples, ScoredArrays) else ScoredArrays.from_examples(examples)
+
+
+def empirical_risk(examples: Scored, lam: float) -> float:
     """Mean coverage loss over the calibration examples at threshold ``lam``."""
     return float(RiskStep(examples).risks([lam])[0])
 
 
-def critical_thresholds(examples: Sequence[CalibrationExample]) -> np.ndarray:
+def critical_thresholds(examples: Scored) -> np.ndarray:
     """Ascending candidate thresholds {1 - s : s an observed score} plus 0 and 1.
 
     The empirical risk is constant between consecutive candidates, so its
     true infimum over [0, 1] is attained on this finite set.
     """
-    if len(examples) == 0:
+    arrays = _as_arrays(examples)
+    if len(arrays) == 0:
         raise ValueError("need at least one calibration example")
-    vals = [1.0 - s for ex in examples for s in ex.scores.values]
-    vals.extend([0.0, 1.0])
-    return np.unique(np.asarray(vals, dtype=np.float64))
+    return np.unique(np.concatenate((1.0 - arrays.scores, [0.0, 1.0])))
 
 
 def _first_feasible(
@@ -243,7 +251,7 @@ def _first_feasible(
 
 
 def calibrate_exact(
-    examples: Sequence[CalibrationExample],
+    examples: Scored,
     alpha: float,
     scorer_id: str | None = None,
 ) -> CalibrationResult:
@@ -256,8 +264,9 @@ def calibrate_exact(
     and the truth scores dominates: O(K log K) time and O(K) memory for K
     scores in all.
     """
-    lambdas = critical_thresholds(examples)
-    return _first_feasible(RiskStep(examples), lambdas, alpha, MODE_EXACT, None, scorer_id)
+    arrays = _as_arrays(examples)
+    lambdas = critical_thresholds(arrays)
+    return _first_feasible(RiskStep(arrays), lambdas, alpha, MODE_EXACT, None, scorer_id)
 
 
 def uniform_grid(size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
@@ -279,7 +288,7 @@ def _check_grid(grid: np.ndarray) -> np.ndarray:
 
 
 def calibrate_grid(
-    examples: Sequence[CalibrationExample],
+    examples: Scored,
     alpha: float,
     grid: Sequence[float] | np.ndarray | None = None,
     scorer_id: str | None = None,
@@ -295,10 +304,10 @@ def calibrate_grid(
 
 
 def risk_curve(
-    examples: Sequence[CalibrationExample],
+    examples: Scored,
     grid: Sequence[float] | np.ndarray | None = None,
 ) -> RiskCurve:
     """Evaluate the empirical risk on a grid (default: 1001 uniform points)."""
     g = np.asarray(uniform_grid() if grid is None else grid, dtype=np.float64)
-    risks = RiskStep(examples).risks(g)
-    return RiskCurve(thresholds=tuple(g.tolist()), risks=tuple(risks.tolist()), n=len(examples))
+    step = RiskStep(examples)
+    return RiskCurve(thresholds=tuple(g.tolist()), risks=tuple(step.risks(g).tolist()), n=step.n)

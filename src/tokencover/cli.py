@@ -17,20 +17,21 @@ import tempfile
 from pathlib import Path
 from typing import Any, Sequence
 
+import numpy as np
+
 from .calibrate import (
     CalibrationResult,
     RiskStep,
     adjusted_bound,
     calibrate_exact,
     calibrate_grid,
-    empirical_risk,
     risk_curve,
     uniform_grid,
 )
-from .core import DatasetError, load_dataset
+from .core import DatasetError, GroundTruthExplanation, TokenizedQuestion, load_dataset
 from .robust import BallBudgetError, BallSpec, build_robust_set, load_lexicon
-from .scorer import ScorerError, ScorerSpec, make_scorer, truth_map
-from .sets import build_set, evaluate, predict_batch
+from .scorer import ScorerError, ScorerSpec, make_scorer
+from .sets import evaluate, predict_batch
 from .sim import CoverageReport, SyntheticConfig, run_coverage_experiment, summarize
 
 EXIT_OK = 0
@@ -104,17 +105,16 @@ def _cache_dir(args: argparse.Namespace) -> str | None:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.dataset, clamp_scores=args.clamp_scores)
-    examples = list(dataset.examples)
+    arrays = load_dataset(args.dataset, clamp_scores=args.clamp_scores).arrays
     if args.mode == "exact":
-        result = calibrate_exact(examples, args.alpha, scorer_id=args.scorer_id)
+        result = calibrate_exact(arrays, args.alpha, scorer_id=args.scorer_id)
     else:
         result = calibrate_grid(
-            examples, args.alpha, grid=uniform_grid(args.grid_size), scorer_id=args.scorer_id
+            arrays, args.alpha, grid=uniform_grid(args.grid_size), scorer_id=args.scorer_id
         )
     _write_atomic(args.out, _result_json(result))
     if args.curve_out:
-        curve = risk_curve(examples, uniform_grid(args.grid_size))
+        curve = risk_curve(arrays, uniform_grid(args.grid_size))
         rows = "\n".join(f"{t!r},{r!r},{n}" for t, r, n in curve.rows())
         _write_atomic(args.curve_out, "lambda,risk,n\n" + rows + "\n")
     print(
@@ -125,14 +125,24 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _prediction_rows(dataset, scorer, calibration, strict: bool, workers: int) -> tuple[str, str]:
-    questions = [ex.question for ex in dataset.examples]
+def _questions(
+    args: argparse.Namespace,
+) -> tuple[list[TokenizedQuestion], list[GroundTruthExplanation], dict[str, frozenset[int]]]:
+    """The dataset's questions, ground truths, and truths by id; no scores kept."""
+    arrays = load_dataset(args.dataset, clamp_scores=args.clamp_scores).arrays
+    truths = arrays.explanations()
+    return arrays.questions(), truths, {rid: t.indices for rid, t in zip(arrays.ids, truths)}
+
+
+def _prediction_rows(
+    questions, truths, scorer, calibration, strict: bool, workers: int
+) -> tuple[str, str]:
     sets = predict_batch(questions, scorer, calibration, strict=strict, workers=workers)
     lines = []
     losses = []
     sizes = []
-    for ex, uset in zip(dataset.examples, sets):
-        report = evaluate(uset, ex.explanation, question_id=ex.question.id)
+    for q, truth, uset in zip(questions, truths, sets):
+        report = evaluate(uset, truth, question_id=q.id)
         losses.append(report.loss)
         sizes.append(report.set_size)
         rec = {
@@ -149,30 +159,32 @@ def _prediction_rows(dataset, scorer, calibration, strict: bool, workers: int) -
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.dataset, clamp_scores=args.clamp_scores)
+    questions, truths, truth_by_id = _questions(args)
     calibration = _load_calibration(args.calibration)
     spec = parse_scorer_spec(args.scorer, args.seed)
-    scorer = make_scorer(spec, truth_by_id=truth_map(dataset), cache_dir=_cache_dir(args))
-    body, summary = _prediction_rows(dataset, scorer, calibration, args.strict, args.workers)
+    scorer = make_scorer(spec, truth_by_id=truth_by_id, cache_dir=_cache_dir(args))
+    body, summary = _prediction_rows(
+        questions, truths, scorer, calibration, args.strict, args.workers
+    )
     _write_atomic(args.out, body)
     print(summary)
     return EXIT_OK
 
 
 def cmd_robust_predict(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.dataset, clamp_scores=args.clamp_scores)
+    questions, _, truth_by_id = _questions(args)
     calibration = _load_calibration(args.calibration)
     lexicon = load_lexicon(args.lexicon)
     spec = parse_scorer_spec(args.scorer, args.seed)
-    scorer = make_scorer(spec, truth_by_id=truth_map(dataset), cache_dir=_cache_dir(args))
+    scorer = make_scorer(spec, truth_by_id=truth_by_id, cache_dir=_cache_dir(args))
     mode = args.ball_mode
     if mode == "auto":
         mode = "coordinatewise" if scorer.context_free else "exact"
     ball = BallSpec(d=args.d, enumeration_budget=args.budget, mode=mode)
     lines = []
-    for ex in dataset.examples:
+    for question in questions:
         calls_before, hits_before = scorer.calls, scorer.cache_hits
-        rset = build_robust_set(ex.question, lexicon, ball, scorer, calibration, strict=args.strict)
+        rset = build_robust_set(question, lexicon, ball, scorer, calibration, strict=args.strict)
         rec = {
             "id": rset.question_id,
             "lambda": rset.lambda_used,
@@ -256,22 +268,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.dataset, clamp_scores=args.clamp_scores)
-    examples = list(dataset.examples)
+    arrays = load_dataset(args.dataset, clamp_scores=args.clamp_scores).arrays
     result = _load_calibration(args.calibration)
     problems: list[str] = []
-    if result.n != len(examples):
-        problems.append(f"calibration n={result.n} but dataset has {len(examples)} examples")
+    if result.n != len(arrays):
+        problems.append(f"calibration n={result.n} but dataset has {len(arrays)} examples")
     expected_bound = adjusted_bound(result.alpha, result.n)
     if result.adjusted_bound != expected_bound:
         problems.append(
             f"adjusted_bound={result.adjusted_bound!r} but alpha={result.alpha}, "
             f"n={result.n} give {expected_bound!r}"
         )
-    recomputed = empirical_risk(examples, result.lambda_hat)
+    # one step reports the risk and makes the exact-at-ties decision of calibration
+    step = RiskStep(arrays)
+    recomputed = float(step.risks([result.lambda_hat])[0])
     if result.feasible:
-        # the same exact-at-ties decision that calibration made
-        if not RiskStep(examples).within([result.lambda_hat], expected_bound)[0]:
+        if not step.within([result.lambda_hat], expected_bound)[0]:
             problems.append(
                 f"empirical risk at lambda_hat is {recomputed!r}, above the bound {expected_bound!r}"
             )
@@ -282,9 +294,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
             problems.append(
                 f"result claims infeasibility but the bound {expected_bound!r} is non-negative"
             )
-    sizes = sorted(
-        len(build_set(ex.question, ex.scores, result.lambda_hat).indices) for ex in examples
-    )
+    if not 0.0 <= result.lambda_hat <= 1.0:
+        raise ValueError(f"lambda must be in [0, 1], got {result.lambda_hat}")
+    # build_set's sizes: per example, the scores at or above 1 - lambda
+    kept = arrays.scores >= 1.0 - result.lambda_hat
+    sizes = sorted(np.add.reduceat(kept, arrays.offsets[:-1], dtype=np.int64).tolist())
     payload = {
         "lambda_hat": result.lambda_hat,
         "alpha": result.alpha,

@@ -3,15 +3,24 @@
 A calibration example pairs a tokenized question with per-token importance
 scores in [0, 1] and a ground-truth explanation given as token positions.
 Datasets are stored as JSON Lines, one example per line.
+
+A ``Dataset`` holds its examples, its ``ScoredArrays`` (the columnar view
+that calibration reads: flat scores, offsets and a truth mask), or both;
+each form is built from the other on first use. ``load_dataset`` parses
+straight into the arrays with bulk checks, and falls back to building and
+validating one record at a time only to report the first error.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
+
+import numpy as np
 
 DEFAULT_PROMPT = (
     "Assign each word of the question an importance score between 0 and 1 "
@@ -81,21 +90,127 @@ class CalibrationExample:
     answer: str | None = None
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """An ordered collection of examples; ``source_path`` is provenance only."""
+@dataclass(frozen=True, eq=False)
+class ScoredArrays:
+    """The columnar form of a scored dataset, read by calibration and the CLI.
 
-    examples: tuple[CalibrationExample, ...]
-    source_path: str = field(default="", compare=False)
+    Example i owns ``scores[offsets[i]:offsets[i + 1]]``, one float64 per
+    token, and ``truth`` marks its ground-truth positions in the same flat
+    layout, so a repeated explanation index counts once. ``ids``, ``tokens``
+    and ``answers`` hold the rest of each record, one entry per example. The
+    arrays are read-only, so they cannot drift from examples built from them.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "examples", tuple(self.examples))
+    ids: tuple[str, ...]
+    tokens: tuple[tuple[str, ...], ...]
+    answers: tuple[str | None, ...]
+    scores: np.ndarray
+    offsets: np.ndarray
+    truth: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.examples)
+        return len(self.ids)
+
+    @classmethod
+    def from_examples(cls, examples: Iterable[CalibrationExample]) -> "ScoredArrays":
+        """Flatten examples; an explanation index outside its scores is rejected."""
+        examples = tuple(examples)
+        values = [ex.scores.values for ex in examples]
+        indices = [ex.explanation.indices for ex in examples]
+        return cls._pack(
+            [ex.question.id for ex in examples],
+            [ex.question.tokens for ex in examples],
+            [ex.answer for ex in examples],
+            np.fromiter(chain.from_iterable(values), dtype=np.float64),
+            list(map(len, values)),
+            list(map(len, indices)),
+            np.fromiter(chain.from_iterable(indices), dtype=np.int64),
+        )
+
+    @classmethod
+    def _pack(cls, ids, tokens, answers, scores: np.ndarray, lengths: list[int],
+              counts: list[int], positions: np.ndarray) -> "ScoredArrays":
+        """Arrays from flat scores and each example's truth positions, ``counts[i]``
+        of them for example i; a position outside its example is a ValueError."""
+        size = np.asarray(lengths, dtype=np.int64)
+        owner = np.repeat(np.arange(len(size)), counts)
+        outside = (positions < 0) | (positions >= size[owner])
+        if outside.any():
+            first = int(np.argmax(outside))
+            i = int(owner[first])
+            raise ValueError(f"example {ids[i]!r}: explanation index "
+                             f"{int(positions[first])} outside [0, {lengths[i]})")
+        offsets = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(size)))
+        truth = np.zeros(scores.size, dtype=bool)
+        truth[offsets[owner] + positions] = True
+        for array in (scores, offsets, truth):
+            array.flags.writeable = False
+        return cls(ids=tuple(ids), tokens=tuple(tokens), answers=tuple(answers),
+                   scores=scores, offsets=offsets, truth=truth)
+
+    def questions(self) -> list[TokenizedQuestion]:
+        return [TokenizedQuestion(id=rid, tokens=toks) for rid, toks in zip(self.ids, self.tokens)]
+
+    def explanations(self) -> list[GroundTruthExplanation]:
+        bounds = self.offsets.tolist()
+        truth = self.truth.tolist()
+        return [GroundTruthExplanation(frozenset(j for j, t in enumerate(truth[a:b]) if t))
+                for a, b in zip(bounds, bounds[1:])]
+
+    def examples(self) -> tuple[CalibrationExample, ...]:
+        """One ``CalibrationExample`` per record, built anew on each call."""
+        bounds = self.offsets.tolist()
+        values = self.scores.tolist()
+        return tuple(
+            CalibrationExample(question=q, scores=ImportanceScores(tuple(values[a:b])),
+                               explanation=truth, answer=answer)
+            for q, truth, answer, a, b in zip(self.questions(), self.explanations(),
+                                              self.answers, bounds, bounds[1:])
+        )
+
+
+class Dataset:
+    """An ordered collection of examples; ``source_path`` is provenance only.
+
+    It is built from examples or from ``ScoredArrays`` and makes the other
+    form on first use, so a loaded dataset that is only calibrated never
+    builds per-record objects. Two datasets are equal when their examples are.
+    """
+
+    def __init__(
+        self,
+        examples: Iterable[CalibrationExample] | None = None,
+        source_path: str = "",
+        arrays: ScoredArrays | None = None,
+    ):
+        if (examples is None) == (arrays is None):
+            raise TypeError("a Dataset takes examples or arrays, not both or neither")
+        self._examples = None if examples is None else tuple(examples)
+        self._arrays = arrays
+        self.source_path = source_path
+
+    @property
+    def examples(self) -> tuple[CalibrationExample, ...]:
+        if self._examples is None:
+            self._examples = self._arrays.examples()
+        return self._examples
+
+    @property
+    def arrays(self) -> ScoredArrays:
+        if self._arrays is None:
+            self._arrays = ScoredArrays.from_examples(self._examples)
+        return self._arrays
+
+    def __len__(self) -> int:
+        return len(self._arrays) if self._examples is None else len(self._examples)
 
     def __iter__(self):
         return iter(self.examples)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return self.examples == other.examples
 
 
 def validate_example(example: CalibrationExample) -> list[str]:
@@ -151,8 +266,8 @@ def _record_to_example(rec: dict[str, Any], lineno: int, clamp_scores: bool) -> 
         isinstance(s, (int, float)) and not isinstance(s, bool) for s in scores
     ):
         raise DatasetError(f"line {lineno} (id={rid!r}): field 'scores' must be a list of numbers")
-    if clamp_scores:
-        scores = [min(1.0, max(0.0, float(s))) for s in scores]
+    if clamp_scores:  # NaN stays, to be rejected as not finite
+        scores = [s if s != s else min(1.0, max(0.0, float(s))) for s in scores]
     indices = rec["explanation_indices"]
     if not isinstance(indices, list) or not all(
         isinstance(i, int) and not isinstance(i, bool) for i in indices
@@ -175,39 +290,104 @@ def load_dataset(path: str | Path, clamp_scores: bool = False) -> Dataset:
     """Read a JSON Lines dataset, validating every record.
 
     Each line holds an object with fields ``id``, ``tokens``, ``scores``,
-    ``explanation_indices`` and optionally ``answer``. With ``clamp_scores``
-    numeric scores outside [0, 1] are clamped instead of rejected. Errors
-    name the offending line, record and field; a repeated id is rejected
-    with the lines of both records.
+    ``explanation_indices`` and optionally ``answer``; blank lines are
+    skipped. With ``clamp_scores`` numeric scores outside [0, 1] are clamped
+    instead of rejected (infinities to 0 or 1); NaN is rejected either way.
+    Errors name the offending line, record and field; a repeated id is
+    rejected with the lines of both records.
+
+    The records go straight into ``ScoredArrays``, checked in bulk. Should
+    any line fail to parse or any check fail, the file is read again record
+    by record from line 1, so that the first error by line order is raised
+    with the message ``validate_example`` and the schema checks give it.
     """
     path = Path(path)
+    with path.open("r", encoding="utf-8") as fh:
+        arrays = _bulk_arrays(fh, clamp_scores)
+        if arrays is None:
+            fh.seek(0)
+            return Dataset(examples=_load_records(path, fh, clamp_scores), source_path=str(path))
+    return Dataset(arrays=arrays, source_path=str(path))
+
+
+def _bulk_arrays(lines: Iterable[str], clamp_scores: bool) -> ScoredArrays | None:
+    """The records as arrays, or None if any line might be invalid."""
+    try:
+        recs = [json.loads(line) for line in lines if not line.isspace()]
+    except json.JSONDecodeError:
+        return None
+    if set(map(type, recs)) != {dict}:
+        return None
+    try:
+        ids = [r["id"] for r in recs]
+        tokens = [r["tokens"] for r in recs]
+        scores = [r["scores"] for r in recs]
+        indices = [r["explanation_indices"] for r in recs]
+    except KeyError:
+        return None
+    answers = [r.get("answer") for r in recs]
+    if (set(map(type, ids)) != {str} or not all(ids) or len(set(ids)) != len(ids)
+            or not set(map(type, answers)) <= {str, type(None)}
+            or {*map(type, tokens), *map(type, scores), *map(type, indices)} != {list}):
+        return None
+    lengths = list(map(len, tokens))
+    counts = list(map(len, indices))
+    flat_tokens = list(chain.from_iterable(tokens))
+    flat_scores = list(chain.from_iterable(scores))
+    flat_indices = list(chain.from_iterable(indices))
+    # type() is exact, so a JSON true or false is no number here
+    if (lengths != list(map(len, scores)) or 0 in lengths or 0 in counts
+            or set(map(type, flat_tokens)) != {str} or not all(flat_tokens)
+            or not set(map(type, flat_scores)) <= {int, float}
+            or set(map(type, flat_indices)) != {int}):
+        return None
+    try:
+        values = np.array(flat_scores, dtype=np.float64)
+        positions = np.array(flat_indices, dtype=np.int64)
+    except OverflowError:
+        return None
+    if clamp_scores and not np.isnan(values).any():
+        # + 0.0 turns -0.0 into 0.0, as max(0.0, -0.0) does per record
+        values = np.clip(values, 0.0, 1.0) + 0.0
+    if not (np.isfinite(values).all() and ((values >= 0.0) & (values <= 1.0)).all()):
+        return None
+    try:
+        return ScoredArrays._pack(ids, map(tuple, tokens), answers, values, lengths, counts,
+                                  positions)
+    except ValueError:  # an index outside its record
+        return None
+
+
+def _load_records(
+    path: Path, lines: Iterable[str], clamp_scores: bool
+) -> tuple[CalibrationExample, ...]:
+    """Build and validate one record at a time; raises at the first bad line."""
     examples: list[CalibrationExample] = []
     first_line: dict[str, int] = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DatasetError(f"line {lineno}: invalid JSON: {e}") from None
-            if not isinstance(rec, dict):
-                raise DatasetError(f"line {lineno}: record must be a JSON object")
-            example = _record_to_example(rec, lineno, clamp_scores)
-            problems = validate_example(example)
-            if problems:
-                detail = "; ".join(problems)
-                raise DatasetError(f"line {lineno} (id={example.question.id!r}): {detail}")
-            rid = example.question.id
-            if rid in first_line:
-                raise DatasetError(
-                    f"line {lineno}: duplicate id {rid!r}, first used on line {first_line[rid]}"
-                )
-            first_line[rid] = lineno
-            examples.append(example)
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise DatasetError(f"line {lineno}: invalid JSON: {e}") from None
+        if not isinstance(rec, dict):
+            raise DatasetError(f"line {lineno}: record must be a JSON object")
+        example = _record_to_example(rec, lineno, clamp_scores)
+        problems = validate_example(example)
+        if problems:
+            detail = "; ".join(problems)
+            raise DatasetError(f"line {lineno} (id={example.question.id!r}): {detail}")
+        rid = example.question.id
+        if rid in first_line:
+            raise DatasetError(
+                f"line {lineno}: duplicate id {rid!r}, first used on line {first_line[rid]}"
+            )
+        first_line[rid] = lineno
+        examples.append(example)
     if not examples:
         raise DatasetError(f"{path}: dataset contains no records")
-    return Dataset(examples=tuple(examples), source_path=str(path))
+    return tuple(examples)
 
 
 def write_dataset(dataset: Dataset, path: str | Path) -> None:

@@ -217,7 +217,6 @@ def _run_trial(
     dataset = generate_synthetic_dataset(config, seed=trial_seed)
     scorer = oracle_scorer(config, dataset, seed=trial_seed)
     cal, test = _split_counts(config, dataset, trial_seed)
-    cal_examples = list(cal.examples)
 
     if mode == MODE_EXACT:
         calibrate = calibrate_exact
@@ -225,7 +224,7 @@ def _run_trial(
         calibrate = calibrate_grid
     else:
         raise ValueError(f"mode must be 'exact' or 'grid', got {mode!r}")
-    results = {a: calibrate(cal_examples, a, scorer_id=scorer.identity) for a in alphas}
+    results = {a: calibrate(cal.arrays, a, scorer_id=scorer.identity) for a in alphas}
 
     lexicon = None
     spec = None

@@ -1,0 +1,227 @@
+"""Columnar ingest: the bulk loader, its per-record fallback, and the arrays
+that calibration reads."""
+
+from __future__ import annotations
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from tokencover.calibrate import RiskStep, critical_thresholds, empirical_risk
+from tokencover.core import (
+    Dataset,
+    DatasetError,
+    ScoredArrays,
+    _load_records,
+    load_dataset,
+    write_dataset,
+)
+
+from conftest import make_example, random_dataset
+
+GOOD = '{"id": "a", "tokens": ["x", "y"], "scores": [0.5, 1.0], "explanation_indices": [1]}'
+
+
+DROP = object()
+
+
+def rec(**fields) -> str:
+    """Line 2's record: a valid one with ``fields`` replaced, or dropped if DROP."""
+    base = {"id": "b", "tokens": ["x", "y"], "scores": [0.25, 0.75], "explanation_indices": [0]}
+    base.update(fields)
+    return json.dumps({k: v for k, v in base.items() if v is not DROP})
+
+# One case per message of _record_to_example and validate_example, on line 2
+# after a valid line 1. validate_example's "answer must be a string or null"
+# cannot come from a file: the schema check on 'answer' comes first.
+PARITY = [
+    (rec(scores=DROP), "line 2: missing field 'scores'"),
+    (rec(id=3), "line 2: field 'id' must be a string"),
+    (rec(tokens=["x", 1]), "line 2 (id='b'): field 'tokens' must be a list of strings"),
+    (rec(tokens="xy"), "line 2 (id='b'): field 'tokens' must be a list of strings"),
+    (rec(scores=[True, 0.5]), "line 2 (id='b'): field 'scores' must be a list of numbers"),
+    (rec(scores=["0.5", 0.5]), "line 2 (id='b'): field 'scores' must be a list of numbers"),
+    (rec(explanation_indices=[0.0]),
+     "line 2 (id='b'): field 'explanation_indices' must be a list of integers"),
+    (rec(explanation_indices=[False]),
+     "line 2 (id='b'): field 'explanation_indices' must be a list of integers"),
+    (rec(answer=5), "line 2 (id='b'): field 'answer' must be a string or null"),
+    (rec(id=""), "line 2 (id=''): id must be a non-empty string"),
+    (rec(tokens=[], scores=[]),
+     "line 2 (id='b'): tokens must be non-empty; explanation index 0 outside [0, 0)"),
+    (rec(tokens=["x", ""]), "line 2 (id='b'): tokens[1] must be a non-empty string"),
+    (rec(scores=[0.5]), "line 2 (id='b'): scores has length 1, expected 2"),
+    (rec(scores=[0.5, float("nan")]), "line 2 (id='b'): scores[1] is not finite"),
+    (rec(scores=[float("-inf"), 0.5]), "line 2 (id='b'): scores[0] is not finite"),
+    (rec(scores=[0.5, 1.5]), "line 2 (id='b'): scores[1]=1.5 outside [0, 1]"),
+    (rec(scores=[-1, 0.5]), "line 2 (id='b'): scores[0]=-1.0 outside [0, 1]"),
+    (rec(explanation_indices=[]), "line 2 (id='b'): explanation_indices must be non-empty"),
+    (rec(explanation_indices=[2]), "line 2 (id='b'): explanation index 2 outside [0, 2)"),
+    (rec(explanation_indices=[-1, 1]), "line 2 (id='b'): explanation index -1 outside [0, 2)"),
+    (rec(scores=[float("nan"), 2], explanation_indices=[5, 0]),
+     "line 2 (id='b'): scores[0] is not finite; scores[1]=2.0 outside [0, 1]; "
+     "explanation index 5 outside [0, 2)"),
+    (rec(explanation_indices=[10**30]),
+     "line 2 (id='b'): explanation index 1000000000000000000000000000000 outside [0, 2)"),
+    ("{bad", "line 2: invalid JSON: Expecting property name enclosed in double quotes: "
+             "line 1 column 2 (char 1)"),
+    ("[1, 2]", "line 2: record must be a JSON object"),
+    (rec(id="a"), "line 2: duplicate id 'a', first used on line 1"),
+]
+
+
+def write_lines(tmp_path, *lines: str):
+    path = tmp_path / "data.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path
+
+
+class TestMessagesMatchPerRecordLoader:
+    @pytest.mark.parametrize("line, message", PARITY)
+    def test_exact_message(self, tmp_path, line, message):
+        with pytest.raises(DatasetError) as info:
+            load_dataset(write_lines(tmp_path, GOOD, line))
+        assert str(info.value) == message
+
+    def test_no_records(self, tmp_path):
+        path = write_lines(tmp_path, "", "  ")
+        with pytest.raises(DatasetError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{path}: dataset contains no records"
+
+    def test_first_error_by_line_order(self, tmp_path):
+        path = write_lines(tmp_path, GOOD, rec(scores=[0.5, 3.0]), GOOD, "{bad")
+        with pytest.raises(DatasetError) as info:
+            load_dataset(path)
+        assert str(info.value) == "line 2 (id='b'): scores[1]=3.0 outside [0, 1]"
+
+    def test_blank_lines_skipped_and_counted(self, tmp_path):
+        path = write_lines(tmp_path, GOOD, "", "   ", rec(id=""))
+        with pytest.raises(DatasetError, match=r"^line 4 \(id=''\)"):
+            load_dataset(path)
+        ds = load_dataset(write_lines(tmp_path, "", GOOD, "\t", rec()))
+        assert [ex.question.id for ex in ds.examples] == ["a", "b"]
+
+
+class TestBulkPath:
+    def test_repeated_index_counts_once(self, tmp_path):
+        ds = load_dataset(write_lines(tmp_path, rec(scores=[0.3, 0.9], explanation_indices=[0, 0])))
+        assert ds.examples[0].explanation.indices == frozenset({0})
+        assert ds.arrays.truth.tolist() == [True, False]
+        # truth size 1: missing position 0 costs the whole example
+        assert empirical_risk(ds.arrays, 0.5) == 1.0
+
+    def test_matches_per_record_loader(self, tmp_path):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            records = []
+            for i, ex in enumerate(random_dataset(rng, int(rng.integers(1, 30))).examples):
+                r = {"id": ex.question.id, "tokens": list(ex.question.tokens),
+                     "scores": list(ex.scores.values),
+                     "explanation_indices": sorted(ex.explanation.indices)}
+                if i % 3 == 0:
+                    r["answer"] = f"ans{i}"
+                if i % 4 == 1:
+                    r["scores"] = [int(s >= 0.5) for s in r["scores"]]
+                if i % 5 == 2:
+                    r["explanation_indices"] *= 2
+                records.append(json.dumps(r))
+            path = write_lines(tmp_path, *records)
+            bulk = load_dataset(path)
+            with path.open(encoding="utf-8") as fh:
+                reference = Dataset(examples=_load_records(path, fh, False))
+            assert bulk == reference
+            assert_arrays_equal(bulk.arrays, ScoredArrays.from_examples(reference.examples))
+
+    def test_round_trip_through_arrays(self, tmp_path):
+        ds = random_dataset(np.random.default_rng(6), 25)
+        write_dataset(ds, tmp_path / "d.jsonl")
+        loaded = load_dataset(tmp_path / "d.jsonl")
+        assert loaded == ds and len(loaded) == 25
+        assert list(loaded) == list(ds.examples)
+        assert ScoredArrays.from_examples(ds.examples).examples() == ds.examples
+
+    def test_arrays_are_read_only(self, tmp_path):
+        ds = load_dataset(write_lines(tmp_path, GOOD))
+        assert len(ds.examples) == 1  # built from the arrays, which must not change
+        for name in ("scores", "offsets", "truth"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(ds.arrays, name)[0] = 0
+
+
+class TestClampScores:
+    def test_nan_rejected_not_clamped(self, tmp_path):
+        path = write_lines(tmp_path, GOOD, rec(scores=[float("nan"), 0.5]))
+        with pytest.raises(DatasetError) as info:
+            load_dataset(path, clamp_scores=True)
+        assert str(info.value) == "line 2 (id='b'): scores[0] is not finite"
+
+    def test_nan_rejected_before_a_later_bad_line(self, tmp_path):
+        path = write_lines(tmp_path, rec(scores=[0.5, float("nan")]), "{bad")
+        with pytest.raises(DatasetError) as info:
+            load_dataset(path, clamp_scores=True)
+        assert str(info.value) == "line 1 (id='b'): scores[1] is not finite"
+
+    def test_infinities_and_negative_zero(self, tmp_path):
+        path = write_lines(tmp_path, rec(tokens=["a", "b", "c", "d"],
+                                         scores=[float("inf"), float("-inf"), -0.0, 7]))
+        bulk = load_dataset(path, clamp_scores=True)
+        with path.open(encoding="utf-8") as fh:
+            per_record = _load_records(path, fh, True)
+        for values in (bulk.examples[0].scores.values, per_record[0].scores.values):
+            assert values == (1.0, 0.0, 0.0, 1.0)
+            assert math.copysign(1.0, values[2]) == 1.0
+
+
+def assert_arrays_equal(a: ScoredArrays, b: ScoredArrays) -> None:
+    assert (a.ids, a.tokens, a.answers) == (b.ids, b.tokens, b.answers)
+    for name in ("scores", "offsets", "truth"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def reference_step(examples):
+    """The per-example loop the risk step was built with before the arrays."""
+    scores, sizes = [], []
+    for ex in examples:
+        idx = ex.explanation.indices
+        scores.extend(ex.scores.values[j] for j in idx)
+        sizes.append(len(idx))
+    truth = np.asarray(scores, dtype=np.float64)
+    order = np.argsort(truth, kind="stable")
+    weights = np.repeat(np.asarray(sizes, dtype=np.int64), sizes)[order]
+    missed = np.concatenate(([0.0], np.cumsum(1.0 / weights)))
+    lambdas = np.unique(np.asarray(
+        [1.0 - s for ex in examples for s in ex.scores.values] + [0.0, 1.0]))
+    return truth[order], weights, missed, lambdas
+
+
+class TestArraysAgainstPerExampleLoop:
+    def test_step_and_thresholds_bit_equal(self):
+        rng = np.random.default_rng(9)
+        for n in (1, 7, 60, 400):
+            # a 0.05 lattice puts equal scores in examples of different truth sizes
+            examples = [
+                make_example([f"t{j}" for j in range(k)], np.round(rng.random(k) * 20) / 20,
+                             rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False),
+                             qid=f"q{i}")
+                for i, k in enumerate(rng.integers(1, 9, size=n))
+            ]
+            truth, sizes, missed, lambdas = reference_step(examples)
+            step = RiskStep(ScoredArrays.from_examples(examples))
+            assert np.array_equal(step._truth, truth)
+            assert np.array_equal(step._sizes, sizes)
+            assert np.array_equal(step._missed, missed)
+            assert np.array_equal(critical_thresholds(examples), lambdas)
+
+    def test_empty_explanation_named(self):
+        examples = [make_example(["a"], [0.5], [0]), make_example(["a"], [0.5], [], qid="q9")]
+        with pytest.raises(ValueError, match="'q9' has an empty explanation"):
+            RiskStep(examples)
+
+    def test_index_outside_scores_rejected(self):
+        with pytest.raises(ValueError, match=r"'q1': explanation index 3 outside \[0, 2\)"):
+            ScoredArrays.from_examples([make_example(["a"], [0.5], [0]),
+                                        make_example(["a", "b"], [0.5, 0.1], [3], qid="q1")])

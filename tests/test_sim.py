@@ -268,3 +268,17 @@ class TestSummarize:
         rep = run_coverage_experiment(SMALL, alpha=0.3, trials=1)
         row = summarize([rep]).strip().split("\n")[1].split(",")
         assert row[5] == ""
+
+
+class TestRobustComparatorSeesNoise:
+    def test_comparator_loss_above_alpha(self):
+        # The plain set on the noisy question must lose coverage to the
+        # substitutions: a trial that never injects noise would pass every
+        # robust check while testing nothing.
+        config = SyntheticConfig(n_calibration=100, n_test=100, seed=0)
+        losses = np.array([
+            run_trial(config, 0.2, robust=True, trial_seed=seed).comparator_mean_loss
+            for seed in range(40)
+        ])
+        se = losses.std(ddof=1) / np.sqrt(losses.size)
+        assert losses.mean() > 0.2 + 3 * se, (losses.mean(), se)
