@@ -29,7 +29,7 @@ from .calibrate import (
     uniform_grid,
 )
 from .core import DatasetError, GroundTruthExplanation, TokenizedQuestion, load_dataset
-from .robust import BallBudgetError, BallSpec, build_robust_set, load_lexicon
+from .robust import BallBudgetError, BallSpec, auto_ball_mode, build_robust_set, load_lexicon
 from .scorer import ScorerError, ScorerSpec, make_scorer
 from .sets import evaluate, predict_batch
 from .sim import CoverageReport, SyntheticConfig, run_coverage_experiment, summarize
@@ -177,9 +177,7 @@ def cmd_robust_predict(args: argparse.Namespace) -> int:
     lexicon = load_lexicon(args.lexicon)
     spec = parse_scorer_spec(args.scorer, args.seed)
     scorer = make_scorer(spec, truth_by_id=truth_by_id, cache_dir=_cache_dir(args))
-    mode = args.ball_mode
-    if mode == "auto":
-        mode = "coordinatewise" if scorer.context_free else "exact"
+    mode = auto_ball_mode(scorer) if args.ball_mode == "auto" else args.ball_mode
     ball = BallSpec(d=args.d, enumeration_budget=args.budget, mode=mode)
     lines = []
     for question in questions:

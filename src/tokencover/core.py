@@ -430,8 +430,3 @@ def split_dataset(dataset: Dataset, fraction: float, seed: int) -> tuple[Dataset
         Dataset(examples=right, source_path=dataset.source_path),
     )
 
-
-def truth_tokens(example: CalibrationExample) -> frozenset[tuple[int, str]]:
-    """Ground-truth explanation as (position, token string) pairs."""
-    toks = example.question.tokens
-    return frozenset((j, toks[j]) for j in example.explanation.indices)

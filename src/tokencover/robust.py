@@ -83,11 +83,6 @@ class SynonymLexicon:
         return len(self.entries)
 
 
-def synonym_set(lexicon: SynonymLexicon, token: str) -> frozenset[str]:
-    """The token's synonym set; a singleton for tokens absent from the lexicon."""
-    return lexicon.synonyms(token)
-
-
 def load_lexicon(path: str | Path) -> SynonymLexicon:
     """Read a JSON Lines lexicon: one {"token", "synonyms"} object per line."""
     path = Path(path)
@@ -133,6 +128,11 @@ class BallSpec:
             raise ValueError(f"mode must be one of {BALL_MODES}, got {self.mode!r}")
 
 
+def auto_ball_mode(scorer: _ScorerBase) -> str:
+    """The ball mode ``auto`` stands for: coordinatewise iff the scorer is context-free."""
+    return "coordinatewise" if scorer.context_free else "exact"
+
+
 @dataclass(frozen=True)
 class RobustItem:
     position: int
@@ -151,9 +151,6 @@ class RobustUncertaintySet:
 
     def pairs(self) -> frozenset[tuple[int, str]]:
         return frozenset((it.position, it.token) for it in self.items)
-
-    def positions(self) -> frozenset[int]:
-        return frozenset(it.position for it in self.items)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -282,6 +279,28 @@ def robust_score(
     return table[(position, candidate)]
 
 
+def threshold_robust_scores(
+    question: TokenizedQuestion,
+    table: Mapping[tuple[int, str], float],
+    lam: float,
+    n_ball: int,
+) -> RobustUncertaintySet:
+    """The robust set at lambda from a table of robust scores.
+
+    Items are every (position, candidate) whose robust score is at least
+    1 - lam, sorted by position then token; ``n_ball`` is the question's
+    ball size.
+    """
+    cutoff = 1.0 - lam
+    items = tuple(
+        RobustItem(position=j, token=tok, score=val)
+        for (j, tok), val in sorted(kv for kv in table.items() if kv[1] >= cutoff)
+    )
+    return RobustUncertaintySet(
+        question_id=question.id, items=items, lambda_used=float(lam), ball_size=n_ball
+    )
+
+
 def build_robust_set(
     question: TokenizedQuestion,
     lexicon: SynonymLexicon,
@@ -290,26 +309,12 @@ def build_robust_set(
     calibration: CalibrationResult,
     strict: bool = False,
 ) -> RobustUncertaintySet:
-    """Threshold robust scores at the calibrated lambda.
-
-    Items are every attainable (position, candidate) whose robust score is at
-    least 1 - lambda_hat, sorted by position then token.
-    """
+    """Score the question's ball and threshold it at the calibrated lambda."""
     s = _resolve_scorer(scorer)
     _check_scorer_identity(s, calibration, strict)
-    lam = calibration.lambda_hat
-    cutoff = 1.0 - lam
     table = robust_scores(question, lexicon, spec, s)
-    items = tuple(
-        RobustItem(position=j, token=tok, score=val)
-        for (j, tok), val in sorted(table.items())
-        if val >= cutoff
-    )
-    return RobustUncertaintySet(
-        question_id=question.id,
-        items=items,
-        lambda_used=float(lam),
-        ball_size=ball_size(question, lexicon, spec),
+    return threshold_robust_scores(
+        question, table, calibration.lambda_hat, ball_size(question, lexicon, spec)
     )
 
 
@@ -358,35 +363,45 @@ class RobustEvaluation:
         }
 
 
-def evaluate_robust(
-    robust_set: RobustUncertaintySet,
+def evaluate_pairs(
+    pairs: frozenset[tuple[int, str]],
     clean_question: TokenizedQuestion,
     truth: GroundTruthExplanation,
 ) -> RobustEvaluation:
-    """Coverage loss of a robust set against the clean question's truth.
+    """Coverage loss of (position, token) pairs against the clean question's truth.
 
     A ground-truth item is the pair (position, clean token string); it counts
-    as covered only when the robust set holds exactly that pair.
+    as covered only when ``pairs`` holds exactly that pair, so a synonym at
+    the right position does not cover it.
     """
-    if robust_set.question_id != clean_question.id:
-        raise ValueError(
-            f"robust set belongs to question {robust_set.question_id!r}, "
-            f"not {clean_question.id!r}"
-        )
     if len(truth.indices) == 0:
         raise ValueError("ground-truth explanation is empty")
     truth_pairs = {(j, clean_question.tokens[j]) for j in truth.indices}
-    covered = len(truth_pairs & robust_set.pairs())
+    covered = len(truth_pairs & pairs)
     return RobustEvaluation(
-        question_id=robust_set.question_id,
+        question_id=clean_question.id,
         loss=1.0 - covered / len(truth_pairs),
-        n_items=len(robust_set.items),
-        n_positions=len(robust_set.positions()),
+        n_items=len(pairs),
+        n_positions=len({j for j, _ in pairs}),
         truth_size=len(truth_pairs),
         covered=covered,
     )
 
 
+def evaluate_robust(
+    robust_set: RobustUncertaintySet,
+    clean_question: TokenizedQuestion,
+    truth: GroundTruthExplanation,
+) -> RobustEvaluation:
+    """Coverage loss of a robust set against the clean question's truth."""
+    if robust_set.question_id != clean_question.id:
+        raise ValueError(
+            f"robust set belongs to question {robust_set.question_id!r}, "
+            f"not {clean_question.id!r}"
+        )
+    return evaluate_pairs(robust_set.pairs(), clean_question, truth)
+
+
 def plain_set_pairs(uncertainty_set: UncertaintySet) -> frozenset[tuple[int, str]]:
-    """A plain set's (position, token) pairs, for superset comparisons."""
+    """A plain set's (position, token) pairs, for superset checks and ``evaluate_pairs``."""
     return frozenset(uncertainty_set.tokens)

@@ -434,12 +434,3 @@ def make_scorer(
         backoff=params.get("backoff", 0.25),
     )
 
-
-def score(
-    spec: ScorerSpec,
-    question: TokenizedQuestion,
-    truth_by_id: Mapping[str, Iterable[int]] | None = None,
-    cache_dir: str | Path | None = None,
-) -> ImportanceScores:
-    """One-shot scoring convenience around make_scorer."""
-    return make_scorer(spec, truth_by_id=truth_by_id, cache_dir=cache_dir).score_question(question)

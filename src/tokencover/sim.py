@@ -5,6 +5,14 @@ threshold on one side, and measures coverage loss on the other; optionally
 the test questions are perturbed with synonym noise and predicted robustly.
 Trial seeds derive from (master seed, trial index), so experiments are
 reproducible and trials are independent.
+
+Every per-question number comes from the library: a plain trial's loss and
+set size from ``sets.evaluate``; a robust trial's loss, set size and item
+count from ``robust.evaluate_robust`` on the robust set of the noisy
+question, its comparator (the plain set on the noisy question) from
+``robust.evaluate_pairs``, the rule ``evaluate_robust`` applies, and its
+superset check from ``robust.plain_set_pairs``. Robust balls use the mode
+``robust.auto_ball_mode`` picks for the oracle scorer.
 """
 
 from __future__ import annotations
@@ -23,9 +31,20 @@ from .core import (
     TokenizedQuestion,
     split_dataset,
 )
-from .robust import BallSpec, SynonymLexicon, inject_noise, robust_scores
+from .robust import (
+    BallSpec,
+    SynonymLexicon,
+    auto_ball_mode,
+    ball_size,
+    evaluate_pairs,
+    evaluate_robust,
+    inject_noise,
+    plain_set_pairs,
+    robust_scores,
+    threshold_robust_scores,
+)
 from .scorer import OracleNoiseScorer, oracle_noise_score, truth_map
-from .sets import build_set
+from .sets import build_set, evaluate
 
 
 @dataclass(frozen=True)
@@ -195,24 +214,12 @@ def _split_counts(config: SyntheticConfig, dataset: Dataset, seed: int) -> tuple
     return split_dataset(dataset, config.n_calibration / total, seed=_derived_seed(seed, 2))
 
 
-def _pair_loss(
-    selected: frozenset[int],
-    noisy_tokens: tuple[str, ...],
-    clean_tokens: tuple[str, ...],
-    truth: frozenset[int],
-) -> float:
-    """Loss under (position, string) matching for a set built on noisy tokens."""
-    covered = sum(1 for j in truth if j in selected and noisy_tokens[j] == clean_tokens[j])
-    return 1.0 - covered / len(truth)
-
-
 def _run_trial(
     config: SyntheticConfig,
     alphas: Sequence[float],
     mode: str,
     robust: bool,
     trial_seed: int,
-    ball_mode: str = "auto",
 ) -> list[TrialResult]:
     dataset = generate_synthetic_dataset(config, seed=trial_seed)
     scorer = oracle_scorer(config, dataset, seed=trial_seed)
@@ -224,85 +231,73 @@ def _run_trial(
         calibrate = calibrate_grid
     else:
         raise ValueError(f"mode must be 'exact' or 'grid', got {mode!r}")
-    results = {a: calibrate(cal.arrays, a, scorer_id=scorer.identity) for a in alphas}
+    results = [calibrate(cal.arrays, a, scorer_id=scorer.identity) for a in alphas]
 
-    lexicon = None
-    spec = None
-    if robust:
-        lexicon = synthetic_lexicon(dataset, config.synonym_fanout)
-        resolved = (
-            ("coordinatewise" if scorer.context_free else "exact")
-            if ball_mode == "auto"
-            else ball_mode
-        )
-        spec = BallSpec(d=config.d, mode=resolved)
+    if not robust:
+        scored = [(ex, scorer.score_question(ex.question)) for ex in test.examples]
+        out = []
+        for a, res in zip(alphas, results):
+            evals = [
+                evaluate(build_set(ex.question, scores, res.lambda_hat), ex.explanation)
+                for ex, scores in scored
+            ]
+            out.append(
+                TrialResult(
+                    alpha=a,
+                    mode=mode,
+                    robust=False,
+                    lambda_hat=res.lambda_hat,
+                    feasible=res.feasible,
+                    mean_loss=float(np.mean([e.loss for e in evals])),
+                    mean_set_size=float(np.mean([e.set_size for e in evals])),
+                )
+            )
+        return out
 
+    # Only test questions are perturbed and robustly scored, so the lexicon
+    # needs only their tokens. Each question's robust table is built once and
+    # thresholded at every alpha.
+    lexicon = synthetic_lexicon(test, config.synonym_fanout)
+    spec = BallSpec(d=config.d, mode=auto_ball_mode(scorer))
     noise_rng = np.random.default_rng(np.random.SeedSequence(entropy=[trial_seed, 3]))
-    per_alpha: dict[float, dict[str, list[float]]] = {
-        a: {
-            "loss": [],
-            "size": [],
-            "comp_loss": [],
-            "comp_size": [],
-            "superset": [],
-            "items": [],
-        }
-        for a in alphas
-    }
-
+    perturbed = []
     for ex in test.examples:
-        q = ex.question
-        truth = ex.explanation.indices
-        if not robust:
-            scores = scorer.score_question(q)
-            for a in alphas:
-                uset = build_set(q, scores, results[a].lambda_hat)
-                covered = len(truth & uset.indices)
-                per_alpha[a]["loss"].append(1.0 - covered / len(truth))
-                per_alpha[a]["size"].append(len(uset.indices))
-            continue
-
-        noisy = inject_noise(q, lexicon, config.d, int(noise_rng.integers(2**63)))
-        table = robust_scores(noisy, lexicon, spec, scorer)
-        noisy_scores = scorer.score_question(noisy)
-        clean_scores = ex.scores  # the oracle reproduces these exactly on q
-        truth_pairs = {(j, q.tokens[j]) for j in truth}
-        for a in alphas:
-            cutoff = 1.0 - results[a].lambda_hat
-            robust_pairs = {pair for pair, val in table.items() if val >= cutoff}
-            covered = sum(1 for p in truth_pairs if p in robust_pairs)
-            per_alpha[a]["loss"].append(1.0 - covered / len(truth_pairs))
-            per_alpha[a]["size"].append(len({j for j, _ in robust_pairs}))
-            per_alpha[a]["items"].append(len(robust_pairs))
-            plain_clean = frozenset(
-                (j, q.tokens[j]) for j, v in enumerate(clean_scores.values) if v >= cutoff
+        noisy = inject_noise(ex.question, lexicon, config.d, int(noise_rng.integers(2**63)))
+        perturbed.append(
+            (
+                ex,
+                noisy,
+                robust_scores(noisy, lexicon, spec, scorer),
+                ball_size(noisy, lexicon, spec),
+                scorer.score_question(noisy),
             )
-            per_alpha[a]["superset"].append(1.0 if plain_clean <= robust_pairs else 0.0)
-            noisy_selected = frozenset(
-                j for j, v in enumerate(noisy_scores.values) if v >= cutoff
-            )
-            per_alpha[a]["comp_loss"].append(
-                _pair_loss(noisy_selected, noisy.tokens, q.tokens, truth)
-            )
-            per_alpha[a]["comp_size"].append(len(noisy_selected))
-
+        )
     out = []
-    for a in alphas:
-        stats = per_alpha[a]
-        res = results[a]
+    for a, res in zip(alphas, results):
+        lam = res.lambda_hat
+        evals, comparator, superset = [], [], []
+        for ex, noisy, table, n_ball, noisy_scores in perturbed:
+            q, truth = ex.question, ex.explanation
+            rset = threshold_robust_scores(noisy, table, lam, n_ball)
+            evals.append(evaluate_robust(rset, q, truth))
+            noisy_pairs = plain_set_pairs(build_set(noisy, noisy_scores, lam))
+            comparator.append(evaluate_pairs(noisy_pairs, q, truth))
+            # the oracle reproduces ex.scores exactly on the clean question
+            clean_pairs = plain_set_pairs(build_set(q, ex.scores, lam))
+            superset.append(1.0 if clean_pairs <= rset.pairs() else 0.0)
         out.append(
             TrialResult(
                 alpha=a,
                 mode=mode,
-                robust=robust,
-                lambda_hat=res.lambda_hat,
+                robust=True,
+                lambda_hat=lam,
                 feasible=res.feasible,
-                mean_loss=float(np.mean(stats["loss"])),
-                mean_set_size=float(np.mean(stats["size"])),
-                comparator_mean_loss=float(np.mean(stats["comp_loss"])) if robust else None,
-                comparator_mean_set_size=float(np.mean(stats["comp_size"])) if robust else None,
-                superset_rate=float(np.mean(stats["superset"])) if robust else None,
-                mean_n_items=float(np.mean(stats["items"])) if robust else None,
+                mean_loss=float(np.mean([e.loss for e in evals])),
+                mean_set_size=float(np.mean([e.n_positions for e in evals])),
+                comparator_mean_loss=float(np.mean([c.loss for c in comparator])),
+                comparator_mean_set_size=float(np.mean([c.n_positions for c in comparator])),
+                superset_rate=float(np.mean(superset)),
+                mean_n_items=float(np.mean([e.n_items for e in evals])),
             )
         )
     return out
@@ -314,11 +309,10 @@ def run_trial(
     mode: str = MODE_EXACT,
     robust: bool = False,
     trial_seed: int | None = None,
-    ball_mode: str = "auto",
 ) -> TrialResult:
     """Generate, split, calibrate, predict, evaluate: one trial, one alpha."""
     seed = config.seed if trial_seed is None else trial_seed
-    return _run_trial(config, [alpha], mode, robust, seed, ball_mode)[0]
+    return _run_trial(config, [alpha], mode, robust, seed)[0]
 
 
 def run_coverage_experiment(
@@ -328,7 +322,6 @@ def run_coverage_experiment(
     mode: str = MODE_EXACT,
     robust: bool = False,
     workers: int = 1,
-    ball_mode: str = "auto",
 ) -> CoverageReport | list[CoverageReport]:
     """Run independent trials and aggregate per alpha.
 
@@ -346,7 +339,7 @@ def run_coverage_experiment(
     trial_seeds = [_derived_seed(config.seed, t) for t in range(trials)]
 
     def one(seed: int) -> list[TrialResult]:
-        return _run_trial(config, alphas, mode, robust, seed, ball_mode)
+        return _run_trial(config, alphas, mode, robust, seed)
 
     if workers > 1 and trials > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -13,7 +13,6 @@ from tokencover.core import (
     TokenizedQuestion,
     load_dataset,
     split_dataset,
-    truth_tokens,
     validate_example,
     write_dataset,
 )
@@ -31,10 +30,6 @@ class TestTypes:
         ex = make_example(["x", "y"], [1, 0], [0])
         assert ex.scores.values == (1.0, 0.0)
         assert isinstance(ex.scores[1], float)
-
-    def test_truth_tokens_are_positional(self):
-        ex = make_example(["same", "same", "other"], [0.1, 0.2, 0.3], [0, 1])
-        assert truth_tokens(ex) == {(0, "same"), (1, "same")}
 
 
 class TestValidateExample:

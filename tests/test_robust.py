@@ -20,16 +20,17 @@ from tokencover.robust import (
     BallSpec,
     RobustUncertaintySet,
     SynonymLexicon,
+    auto_ball_mode,
     ball_size,
     build_robust_set,
     enumerate_ball,
+    evaluate_pairs,
     evaluate_robust,
     inject_noise,
     load_lexicon,
     plain_set_pairs,
     robust_score,
     robust_scores,
-    synonym_set,
 )
 from tokencover.scorer import OracleNoiseScorer, ScorerError, TableScorer
 from tokencover.sets import build_set
@@ -109,7 +110,6 @@ class TestLexicon:
     def test_unknown_token_is_its_own_singleton(self):
         lex = group_lexicon(["a", "b"])
         assert lex.synonyms("zzz") == frozenset({"zzz"})
-        assert synonym_set(lex, "zzz") == frozenset({"zzz"})
 
     def test_self_inclusion_repaired_with_warning(self):
         with pytest.warns(UserWarning, match="repaired"):
@@ -281,6 +281,11 @@ class TestRobustScores:
             )
             assert exact == coord
 
+    def test_auto_mode_is_coordinatewise_iff_context_free(self):
+        oracle = OracleNoiseScorer(sigma=0.5, seed=1, truth_by_id={"q0": {0}})
+        assert auto_ball_mode(oracle) == "coordinatewise"
+        assert auto_ball_mode(TableScorer({("a",): (0.5,)})) == "exact"
+
     def test_single_pair_lookup(self):
         rng = np.random.default_rng(84)
         question, lex, _, table = random_ball_instance(rng)
@@ -413,6 +418,26 @@ class TestEvaluateRobust:
         assert got.n_items == 3
         assert got.n_positions == 2
         assert got.to_dict()["n_items"] == 3
+
+    def test_plain_set_on_noisy_question_misses_substituted_truth(self):
+        # the comparator of a robust trial: a plain set built on the noisy
+        # question selects the substituted truth position, but holds the
+        # synonym there, not the clean token, so that position is missed
+        clean = q(["good", "day"])
+        noisy = q(["fine", "day"])
+        plain = build_set(noisy, ImportanceScores((0.9, 0.9)), 0.5)
+        assert plain.indices == {0, 1}
+        got = evaluate_pairs(plain_set_pairs(plain), clean, GroundTruthExplanation({0, 1}))
+        assert got.covered == 1
+        assert got.loss == 0.5
+        assert got.n_positions == 2
+
+    def test_truth_pairs_are_positional(self):
+        # a repeated token covers only the position that holds it
+        clean = q(["same", "same", "other"])
+        got = evaluate_pairs(frozenset({(0, "same")}), clean, GroundTruthExplanation({0, 1}))
+        assert got.covered == 1
+        assert got.truth_size == 2
 
     def test_id_mismatch_rejected(self):
         rset = self.make_set({(0, "a")}, qid="other")

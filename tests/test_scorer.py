@@ -22,7 +22,6 @@ from tokencover.scorer import (
     cache_key,
     make_scorer,
     oracle_noise_score,
-    score,
     truth_map,
 )
 
@@ -306,9 +305,10 @@ class TestMakeScorer:
         d = make_scorer(ScorerSpec(kind="uniform_random", seed=2))
         assert len({a.identity, b.identity, c.identity, d.identity}) == 4
 
-    def test_score_convenience_oracle(self):
+    def test_oracle_spec_scores_truth_positions(self):
         spec = ScorerSpec(kind="oracle_noise", parameters={"sigma": 0.0}, seed=1)
-        got = score(spec, q(["a", "b"], qid="x"), truth_by_id={"x": {1}})
+        scorer = make_scorer(spec, truth_by_id={"x": {1}})
+        got = scorer.score_question(q(["a", "b"], qid="x"))
         assert got.values == (0.0, 1.0)
 
     def test_truth_map_from_dataset(self):

@@ -134,14 +134,6 @@ class TestRunTrial:
         assert 0.0 <= grid.lambda_hat - exact.lambda_hat <= 1.0 / 1000 + 1e-12
         assert grid.mean_loss <= exact.mean_loss + 1e-12
 
-    def test_ball_modes_agree_for_the_oracle(self):
-        # the oracle is context-free, so single-substitution scoring equals
-        # full ball enumeration
-        auto = run_trial(SMALL, alpha=0.3, robust=True, ball_mode="auto")
-        exact = run_trial(SMALL, alpha=0.3, robust=True, ball_mode="exact")
-        coord = run_trial(SMALL, alpha=0.3, robust=True, ball_mode="coordinatewise")
-        assert auto == exact == coord
-
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             run_trial(SMALL, alpha=0.3, mode="psychic")

@@ -1,0 +1,114 @@
+"""Plant known defects one at a time and report which tier-1 test catches each.
+
+    python3 tools/defects.py          # every defect
+    python3 tools/defects.py A C      # some of them
+    python3 tools/defects.py C --select tests/test_robust.py   # part of tier-1
+
+Each defect is a (file, old text, new text) triple. For each one, the script
+copies the repository into a temporary directory, replaces the old text, which
+must occur exactly once, with the new one, and runs the tier-1 suite there
+with ``-x``; at most nproc copies run at a time. It prints a Markdown table
+with the first test that failed on each defect, or "survived", and exits 1 if
+any defect survived. Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"]
+IGNORE = shutil.ignore_patterns(".git", ".bench_out", ".bench_build", "__pycache__",
+                                ".pytest_cache", "*.egg-info")
+
+
+@dataclass(frozen=True)
+class Defect:
+    name: str
+    summary: str
+    path: str
+    old: str
+    new: str
+
+
+DEFECTS = [
+    Defect("A", "`build_set` keeps scores > 1 - λ instead of >=",
+           "src/tokencover/sets.py",
+           "if v >= cutoff]",
+           "if v > cutoff]"),
+    Defect("B", "`RiskStep` counts truth scores equal to 1 - λ as missed",
+           "src/tokencover/calibrate.py",
+           'np.searchsorted(self._truth, 1.0 - lam, side="left")',
+           'np.searchsorted(self._truth, 1.0 - lam, side="right")'),
+    Defect("C", "the (position, clean token) pair rule matches by position only",
+           "src/tokencover/robust.py",
+           "covered = len(truth_pairs & pairs)",
+           "covered = len(truth.indices & {j for j, _ in pairs})"),
+    Defect("H", "`sim` never injects noise into robust trials",
+           "src/tokencover/sim.py",
+           "noisy = inject_noise(ex.question, lexicon, config.d, int(noise_rng.integers(2**63)))",
+           "noisy = ex.question"),
+]
+
+
+def plant(defect: Defect, root: Path) -> None:
+    path = root / defect.path
+    text = path.read_text(encoding="utf-8")
+    count = text.count(defect.old)
+    if count != 1:
+        raise SystemExit(f"defect {defect.name}: old text occurs {count} times in {defect.path}")
+    path.write_text(text.replace(defect.old, defect.new), encoding="utf-8")
+
+
+def run(defect: Defect, select: list[str]) -> tuple[str, float]:
+    """Tier-1 (or the selected tests) on a planted copy: the first failing test."""
+    with tempfile.TemporaryDirectory(prefix=f"defect-{defect.name}-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=IGNORE)
+        plant(defect, copy)
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        start = time.perf_counter()
+        proc = subprocess.run(TIER1 + select, cwd=copy, env=env, capture_output=True, text=True)
+        seconds = time.perf_counter() - start
+    failed = re.findall(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, flags=re.MULTILINE)
+    if failed:
+        return f"caught by `{failed[0]}`", seconds
+    if proc.returncode == 0:
+        return "**survived**", seconds
+    tail = proc.stdout.strip().splitlines()[-1:] or ["no output"]
+    return f"tier-1 exited {proc.returncode} without a failed test: {tail[0]}", seconds
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("names", nargs="*", help="defects to plant (default: all)")
+    ap.add_argument("--select", action="append", default=[], metavar="TEST",
+                    help="run only this test path or node id (repeatable)")
+    args = ap.parse_args(argv)
+    by_name = {d.name: d for d in DEFECTS}
+    unknown = [n for n in args.names if n not in by_name]
+    if unknown:
+        ap.error(f"unknown defects {unknown}; known: {sorted(by_name)}")
+    chosen = [by_name[n] for n in args.names] if args.names else DEFECTS
+    with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, len(chosen))) as pool:
+        results = list(pool.map(lambda d: run(d, args.select), chosen))
+    print("| Defect | Change | Result | Seconds |")
+    print("|---|---|---|---|")
+    for d, (result, seconds) in zip(chosen, results):
+        print(f"| {d.name} | {d.summary} | {result} | {seconds:.0f} |")
+    return 1 if any(r == "**survived**" for r, _ in results) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
