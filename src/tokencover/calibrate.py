@@ -21,6 +21,9 @@ in rationals, so ties do not depend on the order of float summation.
 The step and the critical thresholds read a dataset's ``ScoredArrays``
 (flat scores, offsets and truth mask). Every function here also takes a
 sequence of ``CalibrationExample``, flattened into arrays once per call.
+``calibrate_exact``, ``calibrate_grid`` and ``risk_curve`` also take a
+``RiskStep`` already built, so one step can serve a calibration and its
+curve.
 """
 
 from __future__ import annotations
@@ -147,7 +150,8 @@ class RiskStep:
     The truth scores of all examples are sorted once with their weights, and
     ``missed[k]`` is the weight of the k smallest, so the risk at lambda is
     ``missed[searchsorted(truth, 1 - lambda, side="left")] / n``. It is exactly
-    0.0 at lambda = 1 and non-increasing in lambda.
+    0.0 at lambda = 1 and non-increasing in lambda. ``arrays`` is the
+    calibration set it was built from.
     """
 
     def __init__(self, examples: Scored):
@@ -162,6 +166,7 @@ class RiskStep:
         # example by example, so equal scores keep the order the sums were taken in
         truth = arrays.scores[arrays.truth]
         order = np.argsort(truth, kind="stable")
+        self.arrays = arrays
         self.n = len(arrays)
         self._truth = truth[order]
         # truth size of the example owning each sorted score
@@ -204,6 +209,10 @@ class RiskStep:
 
 def _as_arrays(examples: Scored) -> ScoredArrays:
     return examples if isinstance(examples, ScoredArrays) else ScoredArrays.from_examples(examples)
+
+
+def _as_step(examples: Scored | RiskStep) -> RiskStep:
+    return examples if isinstance(examples, RiskStep) else RiskStep(examples)
 
 
 def empirical_risk(examples: Scored, lam: float) -> float:
@@ -251,7 +260,7 @@ def _first_feasible(
 
 
 def calibrate_exact(
-    examples: Scored,
+    examples: Scored | RiskStep,
     alpha: float,
     scorer_id: str | None = None,
 ) -> CalibrationResult:
@@ -264,9 +273,9 @@ def calibrate_exact(
     and the truth scores dominates: O(K log K) time and O(K) memory for K
     scores in all.
     """
-    arrays = _as_arrays(examples)
-    lambdas = critical_thresholds(arrays)
-    return _first_feasible(RiskStep(arrays), lambdas, alpha, MODE_EXACT, None, scorer_id)
+    step = _as_step(examples)
+    lambdas = critical_thresholds(step.arrays)
+    return _first_feasible(step, lambdas, alpha, MODE_EXACT, None, scorer_id)
 
 
 def uniform_grid(size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
@@ -288,7 +297,7 @@ def _check_grid(grid: np.ndarray) -> np.ndarray:
 
 
 def calibrate_grid(
-    examples: Scored,
+    examples: Scored | RiskStep,
     alpha: float,
     grid: Sequence[float] | np.ndarray | None = None,
     scorer_id: str | None = None,
@@ -300,14 +309,14 @@ def calibrate_grid(
     point fails the result is infeasible with lambda 1.
     """
     g = _check_grid(uniform_grid() if grid is None else grid)
-    return _first_feasible(RiskStep(examples), g, alpha, MODE_GRID, int(g.size), scorer_id)
+    return _first_feasible(_as_step(examples), g, alpha, MODE_GRID, int(g.size), scorer_id)
 
 
 def risk_curve(
-    examples: Scored,
+    examples: Scored | RiskStep,
     grid: Sequence[float] | np.ndarray | None = None,
 ) -> RiskCurve:
     """Evaluate the empirical risk on a grid (default: 1001 uniform points)."""
     g = np.asarray(uniform_grid() if grid is None else grid, dtype=np.float64)
-    step = RiskStep(examples)
+    step = _as_step(examples)
     return RiskCurve(thresholds=tuple(g.tolist()), risks=tuple(step.risks(g).tolist()), n=step.n)

@@ -14,6 +14,7 @@ import os
 import statistics
 import sys
 import tempfile
+from itertools import chain
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -28,10 +29,10 @@ from .calibrate import (
     risk_curve,
     uniform_grid,
 )
-from .core import DatasetError, GroundTruthExplanation, TokenizedQuestion, load_dataset
+from .core import DatasetError, ImportanceScores, ScoredArrays, TokenizedQuestion, load_dataset
 from .robust import BallBudgetError, BallSpec, auto_ball_mode, build_robust_set, load_lexicon
 from .scorer import ScorerError, ScorerSpec, make_scorer
-from .sets import evaluate, predict_batch
+from .sets import _score_batch, _set_stats
 from .sim import CoverageReport, SyntheticConfig, run_coverage_experiment, summarize
 
 EXIT_OK = 0
@@ -105,16 +106,17 @@ def _cache_dir(args: argparse.Namespace) -> str | None:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    arrays = load_dataset(args.dataset, clamp_scores=args.clamp_scores).arrays
+    # one risk step serves the calibration and the curve
+    step = RiskStep(load_dataset(args.dataset, clamp_scores=args.clamp_scores).arrays)
     if args.mode == "exact":
-        result = calibrate_exact(arrays, args.alpha, scorer_id=args.scorer_id)
+        result = calibrate_exact(step, args.alpha, scorer_id=args.scorer_id)
     else:
         result = calibrate_grid(
-            arrays, args.alpha, grid=uniform_grid(args.grid_size), scorer_id=args.scorer_id
+            step, args.alpha, grid=uniform_grid(args.grid_size), scorer_id=args.scorer_id
         )
     _write_atomic(args.out, _result_json(result))
     if args.curve_out:
-        curve = risk_curve(arrays, uniform_grid(args.grid_size))
+        curve = risk_curve(step, uniform_grid(args.grid_size))
         rows = "\n".join(f"{t!r},{r!r},{n}" for t, r, n in curve.rows())
         _write_atomic(args.curve_out, "lambda,risk,n\n" + rows + "\n")
     print(
@@ -127,52 +129,50 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 def _questions(
     args: argparse.Namespace,
-) -> tuple[list[TokenizedQuestion], list[GroundTruthExplanation], dict[str, frozenset[int]]]:
-    """The dataset's questions, ground truths, and truths by id; no scores kept."""
+) -> tuple[ScoredArrays, list[TokenizedQuestion], dict[str, frozenset[int]]]:
+    """The dataset's arrays, its questions, and its ground truths by id."""
     arrays = load_dataset(args.dataset, clamp_scores=args.clamp_scores).arrays
     truths = arrays.explanations()
-    return arrays.questions(), truths, {rid: t.indices for rid, t in zip(arrays.ids, truths)}
+    return arrays, arrays.questions(), {rid: t.indices for rid, t in zip(arrays.ids, truths)}
 
 
-def _prediction_rows(
-    questions, truths, scorer, calibration, strict: bool, workers: int
-) -> tuple[str, str]:
-    sets = predict_batch(questions, scorer, calibration, strict=strict, workers=workers)
-    lines = []
-    losses = []
-    sizes = []
-    for q, truth, uset in zip(questions, truths, sets):
-        report = evaluate(uset, truth, question_id=q.id)
-        losses.append(report.loss)
-        sizes.append(report.set_size)
-        rec = {
-            "id": uset.question_id,
-            "lambda": uset.lambda_used,
-            "indices": sorted(uset.indices),
-            "tokens": [[j, t] for j, t in uset.tokens],
-        }
-        lines.append(json.dumps(rec, ensure_ascii=False))
-    mean_loss = sum(losses) / len(losses)
-    mean_size = sum(sizes) / len(sizes)
-    summary = f"predicted {len(sets)} questions: mean_loss={mean_loss!r} mean_set_size={mean_size!r}"
-    return "\n".join(lines) + "\n", summary
+def _flat_scores(scored: list[ImportanceScores], offsets: np.ndarray) -> np.ndarray:
+    """The scores of all questions as one float64 array aligned with ``offsets``."""
+    lengths = np.fromiter(map(len, scored), dtype=np.int64, count=len(scored))
+    tokens = np.diff(offsets)
+    wrong = np.flatnonzero(lengths != tokens)
+    if wrong.size:
+        i = wrong[0]
+        raise ValueError(f"scores length {lengths[i]} does not match {tokens[i]} tokens")
+    return np.fromiter(chain.from_iterable(sc.values for sc in scored), dtype=np.float64,
+                       count=int(offsets[-1]))
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    questions, truths, truth_by_id = _questions(args)
+    arrays, questions, truth_by_id = _questions(args)
     calibration = _load_calibration(args.calibration)
     spec = parse_scorer_spec(args.scorer, args.seed)
     scorer = make_scorer(spec, truth_by_id=truth_by_id, cache_dir=_cache_dir(args))
-    body, summary = _prediction_rows(
-        questions, truths, scorer, calibration, args.strict, args.workers
+    scored = _score_batch(questions, scorer, calibration, args.strict, args.workers)
+    lam = calibration.lambda_hat
+    kept, sizes, losses = _set_stats(
+        _flat_scores(scored, arrays.offsets), arrays.offsets, arrays.truth, lam
     )
-    _write_atomic(args.out, body)
-    print(summary)
+    encode = json.JSONEncoder(ensure_ascii=False).encode
+    lines = []
+    for rid, tokens, indices in zip(arrays.ids, arrays.tokens, arrays.positions(kept)):
+        lines.append(encode({"id": rid, "lambda": lam, "indices": indices,
+                             "tokens": [[j, tokens[j]] for j in indices]}))
+    _write_atomic(args.out, "\n".join(lines) + "\n")
+    # Python's sum in question order: the printed digits depend on the order
+    mean_loss = sum(losses.tolist()) / len(lines)
+    mean_size = sum(sizes.tolist()) / len(lines)
+    print(f"predicted {len(lines)} questions: mean_loss={mean_loss!r} mean_set_size={mean_size!r}")
     return EXIT_OK
 
 
 def cmd_robust_predict(args: argparse.Namespace) -> int:
-    questions, _, truth_by_id = _questions(args)
+    _, questions, truth_by_id = _questions(args)
     calibration = _load_calibration(args.calibration)
     lexicon = load_lexicon(args.lexicon)
     spec = parse_scorer_spec(args.scorer, args.seed)
@@ -292,11 +292,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
             problems.append(
                 f"result claims infeasibility but the bound {expected_bound!r} is non-negative"
             )
-    if not 0.0 <= result.lambda_hat <= 1.0:
-        raise ValueError(f"lambda must be in [0, 1], got {result.lambda_hat}")
-    # build_set's sizes: per example, the scores at or above 1 - lambda
-    kept = arrays.scores >= 1.0 - result.lambda_hat
-    sizes = sorted(np.add.reduceat(kept, arrays.offsets[:-1], dtype=np.int64).tolist())
+    sizes = _set_stats(arrays.scores, arrays.offsets, arrays.truth, result.lambda_hat)[1]
+    sizes = sorted(sizes.tolist())
     payload = {
         "lambda_hat": result.lambda_hat,
         "alpha": result.alpha,

@@ -151,11 +151,17 @@ class ScoredArrays:
     def questions(self) -> list[TokenizedQuestion]:
         return [TokenizedQuestion(id=rid, tokens=toks) for rid, toks in zip(self.ids, self.tokens)]
 
+    def positions(self, mask: np.ndarray) -> list[list[int]]:
+        """Per example, the sorted positions set in ``mask``, a flat boolean
+        array in the layout of ``scores``, counted from the example's start."""
+        marked = np.flatnonzero(mask)
+        owner = np.searchsorted(self.offsets, marked, side="right") - 1
+        local = (marked - self.offsets[owner]).tolist()
+        bounds = np.searchsorted(marked, self.offsets).tolist()
+        return [local[a:b] for a, b in zip(bounds, bounds[1:])]
+
     def explanations(self) -> list[GroundTruthExplanation]:
-        bounds = self.offsets.tolist()
-        truth = self.truth.tolist()
-        return [GroundTruthExplanation(frozenset(j for j, t in enumerate(truth[a:b]) if t))
-                for a, b in zip(bounds, bounds[1:])]
+        return [GroundTruthExplanation(frozenset(p)) for p in self.positions(self.truth)]
 
     def examples(self) -> tuple[CalibrationExample, ...]:
         """One ``CalibrationExample`` per record, built anew on each call."""

@@ -24,7 +24,7 @@ from typing import Any, Iterable, Iterator, Mapping
 from .calibrate import CalibrationResult
 from .core import GroundTruthExplanation, TokenizedQuestion
 from .scorer import ScorerError, ScorerSpec, _ScorerBase
-from .sets import UncertaintySet, _check_scorer_identity, _resolve_scorer
+from .sets import UncertaintySet, _check_scorer_identity, _kept, _resolve_scorer
 
 BALL_MODES = ("exact", "coordinatewise")
 
@@ -291,10 +291,9 @@ def threshold_robust_scores(
     1 - lam, sorted by position then token; ``n_ball`` is the question's
     ball size.
     """
-    cutoff = 1.0 - lam
     items = tuple(
         RobustItem(position=j, token=tok, score=val)
-        for (j, tok), val in sorted(kv for kv in table.items() if kv[1] >= cutoff)
+        for (j, tok), val in sorted(kv for kv in table.items() if _kept(kv[1], lam))
     )
     return RobustUncertaintySet(
         question_id=question.id, items=items, lambda_used=float(lam), ball_size=n_ball

@@ -53,11 +53,13 @@ def _unit_uniform(material: str) -> float:
     return (int.from_bytes(h[:8], "big") + 0.5) / 2.0**64
 
 
-def _gauss(material: str) -> float:
-    return _NORMAL.inv_cdf(_unit_uniform(material))
-
-
-def _clamp01(v: float) -> float:
+def _oracle_token(in_truth: bool, sigma: float, seed: int, j: int, token: str) -> float:
+    """The noisy-oracle score of ``token`` at position j: 1 if j is a truth
+    position, else 0, plus ``sigma`` times a standard normal drawn from
+    (seed, j, token), clamped into [0, 1]."""
+    v = 1.0 if in_truth else 0.0
+    if sigma > 0:
+        v += sigma * _NORMAL.inv_cdf(_unit_uniform(f"{seed}|{j}|{token}"))
     return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
 
 
@@ -118,13 +120,9 @@ def oracle_noise_score(
     for j in truth:
         if not 0 <= j < k:
             raise ScorerError(f"ground-truth index {j} outside [0, {k})")
-    values = []
-    for j, tok in enumerate(tokens):
-        base = 1.0 if j in truth else 0.0
-        if sigma > 0:
-            base += sigma * _gauss(f"{seed}|{j}|{tok}")
-        values.append(_clamp01(base))
-    return ImportanceScores(tuple(values))
+    return ImportanceScores(
+        tuple([_oracle_token(j in truth, sigma, seed, j, tok) for j, tok in enumerate(tokens)])
+    )
 
 
 class OracleNoiseScorer(_ScorerBase):
@@ -160,10 +158,8 @@ class OracleNoiseScorer(_ScorerBase):
 
     def score_token(self, question: TokenizedQuestion, position: int, token: str) -> float:
         self.calls += 1
-        base = 1.0 if position in self._truth(question.id) else 0.0
-        if self.sigma > 0:
-            base += self.sigma * _gauss(f"{self.seed}|{position}|{token}")
-        return _clamp01(base)
+        in_truth = position in self._truth(question.id)
+        return _oracle_token(in_truth, self.sigma, self.seed, position, token)
 
 
 class ConstantScorer(_ScorerBase):

@@ -3,6 +3,12 @@
 At threshold lambda, a question's uncertainty set keeps every position whose
 importance score is at least 1 - lambda. Sets grow monotonically with lambda:
 lambda = 0 keeps only scores exactly 1, lambda = 1 keeps everything.
+
+One comparison, ``_kept``, decides membership everywhere: ``build_set``
+applies it to one question's scores, ``robust.threshold_robust_scores`` to
+robust scores, and ``_set_stats`` to the flat scores of many questions at
+once, giving each one's set size and loss. The CLI's ``predict`` and
+``stats`` and the plain Monte Carlo trials read ``_set_stats``.
 """
 
 from __future__ import annotations
@@ -11,6 +17,8 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Sequence
+
+import numpy as np
 
 from .calibrate import CalibrationResult, loss
 from .core import GroundTruthExplanation, ImportanceScores, TokenizedQuestion
@@ -52,16 +60,50 @@ class EvaluationReport:
         }
 
 
-def build_set(question: TokenizedQuestion, scores: ImportanceScores, lam: float) -> UncertaintySet:
-    """Keep every position j with scores[j] >= 1 - lam (ties included)."""
+def _kept(scores, lam: float):
+    """Whether a score, or each score of an array, is in the set at ``lam``."""
+    return scores >= 1.0 - lam
+
+
+def _check_lambda(lam: float) -> None:
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must be in [0, 1], got {lam}")
+
+
+def _set_stats(
+    scores: np.ndarray, offsets: np.ndarray, truth: np.ndarray, lam: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sets of many questions at ``lam``, in the flat layout of ``ScoredArrays``.
+
+    Question i owns ``scores[offsets[i]:offsets[i + 1]]`` and the same slice of
+    the ``truth`` mask. Returns the flat kept mask and, per question, the set
+    size and the coverage loss, the share of truth positions missed, as
+    ``evaluate`` reports them. Every question needs at least one token and
+    one truth position: ``np.add.reduceat`` gives an empty slice the element
+    at its start, not 0, so an empty question is refused rather than
+    miscounted.
+    """
+    _check_lambda(lam)
+    if (offsets[1:] <= offsets[:-1]).any():
+        raise ValueError("every question needs at least one token")
+    starts = offsets[:-1]
+    kept = _kept(scores, lam)
+    sizes = np.add.reduceat(kept, starts, dtype=np.int64)
+    covered = np.add.reduceat(kept & truth, starts, dtype=np.int64)
+    truth_sizes = np.add.reduceat(truth, starts, dtype=np.int64)
+    if not truth_sizes.all():
+        raise ValueError("ground-truth explanation is empty")
+    return kept, sizes, 1.0 - covered / truth_sizes
+
+
+def build_set(question: TokenizedQuestion, scores: ImportanceScores, lam: float) -> UncertaintySet:
+    """Keep every position j with scores[j] >= 1 - lam (ties included)."""
+    _check_lambda(lam)
     if len(scores) != len(question.tokens):
         raise ValueError(
             f"scores length {len(scores)} does not match {len(question.tokens)} tokens"
         )
-    cutoff = 1.0 - lam
-    indices = [j for j, v in enumerate(scores.values) if v >= cutoff]
+    indices = [j for j, v in enumerate(scores.values) if _kept(v, lam)]
     return UncertaintySet(
         question_id=question.id,
         indices=frozenset(indices),
@@ -109,14 +151,25 @@ def predict_batch(
     workers: int = 1,
 ) -> list[UncertaintySet]:
     """Predict many questions, optionally on a thread pool, preserving order."""
+    lam = calibration.lambda_hat
+    scored = _score_batch(questions, scorer, calibration, strict, workers)
+    return [build_set(q, sc, lam) for q, sc in zip(questions, scored)]
+
+
+def _score_batch(
+    questions: Sequence[TokenizedQuestion],
+    scorer: _ScorerBase | ScorerSpec,
+    calibration: CalibrationResult,
+    strict: bool,
+    workers: int,
+) -> list[ImportanceScores]:
+    """Each question's scores in order, on a thread pool only when ``workers > 1``."""
     s = _resolve_scorer(scorer)
     _check_scorer_identity(s, calibration, strict)
-    lam = calibration.lambda_hat
     if workers <= 1 or len(questions) <= 1:
-        return [build_set(q, s.score_question(q), lam) for q in questions]
+        return [s.score_question(q) for q in questions]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        scored = list(pool.map(s.score_question, questions))
-    return [build_set(q, sc, lam) for q, sc in zip(questions, scored)]
+        return list(pool.map(s.score_question, questions))
 
 
 def evaluate(

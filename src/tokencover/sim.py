@@ -6,12 +6,16 @@ the test questions are perturbed with synonym noise and predicted robustly.
 Trial seeds derive from (master seed, trial index), so experiments are
 reproducible and trials are independent.
 
-Every per-question number comes from the library: a plain trial's loss and
-set size from ``sets.evaluate``; a robust trial's loss, set size and item
-count from ``robust.evaluate_robust`` on the robust set of the noisy
-question, its comparator (the plain set on the noisy question) from
-``robust.evaluate_pairs``, the rule ``evaluate_robust`` applies, and its
-superset check from ``robust.plain_set_pairs``. Robust balls use the mode
+Every per-question number comes from the library. A plain trial reads the
+test split's materialized scores, which are exactly what the oracle would
+give on re-scoring, and thresholds them once per alpha with the set rule of
+``sets`` (``_set_stats``, the flat form of ``build_set`` and ``evaluate``);
+no test question is re-scored and no set object is built. A robust trial
+takes its loss, set size and item count from ``robust.evaluate_robust`` on
+the robust set of the noisy question, its comparator (the plain set on the
+noisy question) from ``robust.evaluate_pairs``, the rule
+``evaluate_robust`` applies, and its superset check from
+``robust.plain_set_pairs``. Robust balls use the mode
 ``robust.auto_ball_mode`` picks for the oracle scorer.
 """
 
@@ -23,7 +27,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .calibrate import MODE_EXACT, MODE_GRID, calibrate_exact, calibrate_grid
+from .calibrate import MODE_EXACT, MODE_GRID, RiskStep, calibrate_exact, calibrate_grid
 from .core import (
     CalibrationExample,
     Dataset,
@@ -44,7 +48,7 @@ from .robust import (
     threshold_robust_scores,
 )
 from .scorer import OracleNoiseScorer, oracle_noise_score, truth_map
-from .sets import build_set, evaluate
+from .sets import _set_stats, build_set
 
 
 @dataclass(frozen=True)
@@ -165,11 +169,11 @@ def generate_synthetic_dataset(config: SyntheticConfig, seed: int | None = None)
     examples = []
     for i in range(config.n_calibration + config.n_test):
         k = int(rng.integers(kmin, kmax + 1))
-        tokens = tuple(f"w{int(v)}" for v in rng.integers(0, 1_000_000_000, size=k))
+        tokens = tuple(f"w{v}" for v in rng.integers(0, 1_000_000_000, size=k).tolist())
         mask = rng.random(k) < config.truth_fraction
         if not mask.any():
             mask[int(rng.integers(0, k))] = True
-        truth = frozenset(int(j) for j in np.nonzero(mask)[0])
+        truth = frozenset(np.flatnonzero(mask).tolist())
         scores = oracle_noise_score(truth, tokens, config.sigma, s_seed)
         examples.append(
             CalibrationExample(
@@ -222,8 +226,9 @@ def _run_trial(
     trial_seed: int,
 ) -> list[TrialResult]:
     dataset = generate_synthetic_dataset(config, seed=trial_seed)
-    scorer = oracle_scorer(config, dataset, seed=trial_seed)
     cal, test = _split_counts(config, dataset, trial_seed)
+    # only test questions are ever scored, so the oracle needs only their truth
+    scorer = oracle_scorer(config, test, seed=trial_seed)
 
     if mode == MODE_EXACT:
         calibrate = calibrate_exact
@@ -231,16 +236,16 @@ def _run_trial(
         calibrate = calibrate_grid
     else:
         raise ValueError(f"mode must be 'exact' or 'grid', got {mode!r}")
-    results = [calibrate(cal.arrays, a, scorer_id=scorer.identity) for a in alphas]
+    step = RiskStep(cal.arrays)
+    results = [calibrate(step, a, scorer_id=scorer.identity) for a in alphas]
 
     if not robust:
-        scored = [(ex, scorer.score_question(ex.question)) for ex in test.examples]
+        arrays = test.arrays
         out = []
         for a, res in zip(alphas, results):
-            evals = [
-                evaluate(build_set(ex.question, scores, res.lambda_hat), ex.explanation)
-                for ex, scores in scored
-            ]
+            _, sizes, losses = _set_stats(
+                arrays.scores, arrays.offsets, arrays.truth, res.lambda_hat
+            )
             out.append(
                 TrialResult(
                     alpha=a,
@@ -248,8 +253,8 @@ def _run_trial(
                     robust=False,
                     lambda_hat=res.lambda_hat,
                     feasible=res.feasible,
-                    mean_loss=float(np.mean([e.loss for e in evals])),
-                    mean_set_size=float(np.mean([e.set_size for e in evals])),
+                    mean_loss=float(np.mean(losses)),
+                    mean_set_size=float(np.mean(sizes)),
                 )
             )
         return out

@@ -16,6 +16,7 @@ import pytest
 from tokencover.calibrate import (
     CalibrationResult,
     RiskCurve,
+    RiskStep,
     adjusted_bound,
     calibrate_exact,
     calibrate_grid,
@@ -339,6 +340,45 @@ class TestRiskCurve:
             RiskCurve(thresholds=(), risks=(), n=1)
         with pytest.raises(ValueError, match="equal length"):
             RiskCurve(thresholds=(0.0, 1.0), risks=(0.0,), n=1)
+
+
+class TestOneStepServesAll:
+    """A built RiskStep stands in for its calibration set everywhere."""
+
+    def test_step_gives_the_same_results(self):
+        rng = np.random.default_rng(67)
+        for _ in range(20):
+            arrays = random_dataset(rng, int(rng.integers(1, 15))).arrays
+            step = RiskStep(arrays)
+            grid = uniform_grid(51)
+            for alpha in (0.1, 0.3, 0.6):
+                assert calibrate_exact(step, alpha) == calibrate_exact(arrays, alpha)
+                assert calibrate_grid(step, alpha, grid=grid) == \
+                    calibrate_grid(arrays, alpha, grid=grid)
+            assert risk_curve(step, grid) == risk_curve(arrays, grid)
+
+    def test_calibrate_command_builds_one_step(self, tmp_path, monkeypatch):
+        from tokencover import calibrate as calibrate_module, cli
+        from tokencover.core import write_dataset
+
+        built = []
+
+        class CountingStep(RiskStep):
+            def __init__(self, examples):
+                built.append(1)
+                super().__init__(examples)
+
+        monkeypatch.setattr(cli, "RiskStep", CountingStep)
+        monkeypatch.setattr(calibrate_module, "RiskStep", CountingStep)
+        data = tmp_path / "data.jsonl"
+        write_dataset(random_dataset(np.random.default_rng(3), 20), data)
+        for mode in ("exact", "grid"):
+            built.clear()
+            code = cli.main(["calibrate", "--dataset", str(data), "--alpha", "0.3",
+                             "--mode", mode, "--out", str(tmp_path / "c.json"),
+                             "--curve-out", str(tmp_path / "curve.csv")])
+            assert code == cli.EXIT_OK
+            assert len(built) == 1
 
 
 class TestCalibrationResultSerialization:

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from tokencover import cli
 from tokencover.calibrate import calibrate_exact
 from tokencover.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main, parse_scorer_spec
 from tokencover.core import (
@@ -20,7 +21,7 @@ from tokencover.core import (
     load_dataset,
     write_dataset,
 )
-from tokencover.scorer import ScorerError, oracle_noise_score
+from tokencover.scorer import ConstantScorer, ScorerError, oracle_noise_score
 
 SIGMA = 0.3
 SCORER_SEED = 5
@@ -191,6 +192,39 @@ class TestPredictCommand:
             assert main(args) == EXIT_OK
         assert main([*args, "--strict"]) == EXIT_INPUT
         assert "does not match" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scorer", [ORACLE_ARGS, ["--scorer", "constant:value=0.75"]])
+    def test_workers_do_not_change_output(self, workdir, capsys, scorer):
+        tmp_path, data_path, _ = workdir
+        _, calib = run_calibrate(tmp_path, data_path)
+        capsys.readouterr()
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"pred-{workers}.jsonl"
+            code = main(["predict", "--dataset", data_path, "--calibration", str(calib),
+                         "--out", str(out), "--workers", workers, *scorer])
+            assert code == EXIT_OK
+            outputs.append((out.read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+
+    def test_short_scores_are_rejected(self, workdir, capsys, monkeypatch):
+        # a scorer one score short on one question must fail the command,
+        # never shift the scores of the questions after it
+        tmp_path, data_path, _ = workdir
+        _, calib = run_calibrate(tmp_path, data_path)
+
+        class ShortScorer(ConstantScorer):
+            def score_question(self, question):
+                values = super().score_question(question).values
+                return ImportanceScores(values[:-1] if question.id == "q3" else values)
+
+        monkeypatch.setattr(cli, "make_scorer", lambda spec, **kw: ShortScorer(0.5))
+        out = tmp_path / "pred.jsonl"
+        code = main(["predict", "--dataset", data_path, "--calibration", str(calib),
+                     "--out", str(out), "--scorer", "constant:value=0.5"])
+        assert code == EXIT_INPUT
+        assert "scores length 4 does not match 5 tokens" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def write_lexicon(path, tokens):

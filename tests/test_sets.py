@@ -8,11 +8,16 @@ import numpy as np
 import pytest
 
 from tokencover.calibrate import CalibrationResult
-from tokencover.core import GroundTruthExplanation, ImportanceScores, TokenizedQuestion
+from tokencover.core import (
+    GroundTruthExplanation,
+    ImportanceScores,
+    ScoredArrays,
+    TokenizedQuestion,
+)
 from tokencover.scorer import ConstantScorer, ScorerError, ScorerSpec, make_scorer
-from tokencover.sets import build_set, evaluate, predict, predict_batch
+from tokencover.sets import _set_stats, build_set, evaluate, predict, predict_batch
 
-from conftest import random_example
+from conftest import make_example, random_example
 
 
 def q(tokens, qid="q0"):
@@ -138,3 +143,47 @@ class TestEvaluate:
         assert report.loss == 0.0
         with pytest.raises(ValueError, match="belongs to"):
             evaluate(got, GroundTruthExplanation({0}), question_id="q1")
+
+
+class TestSetStats:
+    """The flat set rule agrees with build_set and evaluate question by question."""
+
+    def test_matches_build_set_and_evaluate(self):
+        rng = np.random.default_rng(11)
+        examples = [random_example(rng, qid=f"q{i}") for i in range(40)]
+        arrays = ScoredArrays.from_examples(examples)
+        for lam in (0.0, 0.2, 0.5, 0.8, 1.0, *rng.uniform(0, 1, size=5)):
+            kept, sizes, losses = _set_stats(
+                arrays.scores, arrays.offsets, arrays.truth, float(lam)
+            )
+            sets = [build_set(ex.question, ex.scores, float(lam)) for ex in examples]
+            reports = [evaluate(s, ex.explanation) for s, ex in zip(sets, examples)]
+            assert arrays.positions(kept) == [sorted(s.indices) for s in sets]
+            assert sizes.tolist() == [r.set_size for r in reports]
+            assert losses.tolist() == [r.loss for r in reports]
+            # the covered count the loss was made from
+            covered = [round((1.0 - x) * r.truth_size) for x, r in zip(losses.tolist(), reports)]
+            assert covered == [r.covered for r in reports]
+
+    def test_ties_are_kept(self):
+        arrays = ScoredArrays.from_examples([make_example("abc", (0.7, 0.69, 0.71), {1, 2})])
+        kept, sizes, losses = _set_stats(arrays.scores, arrays.offsets, arrays.truth, 0.3)
+        assert kept.tolist() == [True, False, True]
+        assert (sizes.tolist(), losses.tolist()) == ([2], [0.5])
+
+    def test_empty_question_is_refused(self):
+        # reduceat would hand the empty question its neighbour's first score
+        scores = np.array([0.9, 0.1])
+        truth = np.array([True, True])
+        with pytest.raises(ValueError, match="at least one token"):
+            _set_stats(scores, np.array([0, 0, 2]), truth, 0.5)
+
+    def test_empty_truth_is_refused(self):
+        with pytest.raises(ValueError, match="explanation is empty"):
+            _set_stats(np.array([0.9, 0.1]), np.array([0, 2]), np.array([False, False]), 0.5)
+
+    @pytest.mark.parametrize("lam", [-0.01, 1.01])
+    def test_lambda_out_of_range(self, lam):
+        arrays = ScoredArrays.from_examples([make_example("a", (0.5,), {0})])
+        with pytest.raises(ValueError, match="lambda"):
+            _set_stats(arrays.scores, arrays.offsets, arrays.truth, lam)

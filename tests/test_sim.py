@@ -5,12 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tokencover.calibrate import calibrate_exact
+from tokencover.calibrate import calibrate_exact, calibrate_grid
 from tokencover.core import validate_example
+from tokencover.sets import build_set, evaluate
 from tokencover.sim import (
     CSV_HEADER,
     CoverageReport,
     SyntheticConfig,
+    _split_counts,
     generate_synthetic_dataset,
     oracle_scorer,
     run_coverage_experiment,
@@ -274,3 +276,28 @@ class TestRobustComparatorSeesNoise:
         ])
         se = losses.std(ddof=1) / np.sqrt(losses.size)
         assert losses.mean() > 0.2 + 3 * se, (losses.mean(), se)
+
+
+class TestPlainTrialMatchesPerQuestionPath:
+    """A plain trial thresholds the test split's materialized scores in one
+    pass; its numbers must be bit-equal to re-scoring every test question
+    with the oracle and evaluating its set one question at a time."""
+
+    @pytest.mark.parametrize("mode", ["exact", "grid"])
+    @pytest.mark.parametrize("trial_seed", [0, 17, 2024, 2**40 + 3])
+    def test_bit_equal(self, mode, trial_seed):
+        config = SyntheticConfig(n_calibration=100, n_test=100, seed=0)
+        dataset = generate_synthetic_dataset(config, seed=trial_seed)
+        oracle = oracle_scorer(config, dataset, seed=trial_seed)
+        cal, test = _split_counts(config, dataset, trial_seed)
+        calibrate = calibrate_exact if mode == "exact" else calibrate_grid
+        for alpha in (0.1, 0.2, 0.45, 0.8):
+            res = run_trial(config, alpha, mode=mode, trial_seed=trial_seed)
+            assert res.lambda_hat == calibrate(cal.examples, alpha).lambda_hat
+            reports = [
+                evaluate(build_set(ex.question, oracle.score_question(ex.question),
+                                   res.lambda_hat), ex.explanation)
+                for ex in test.examples
+            ]
+            assert res.mean_loss == np.mean([r.loss for r in reports])
+            assert res.mean_set_size == np.mean([r.set_size for r in reports])

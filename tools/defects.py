@@ -43,10 +43,10 @@ class Defect:
 
 
 DEFECTS = [
-    Defect("A", "`build_set` keeps scores > 1 - λ instead of >=",
+    Defect("A", "the set rule `_kept` keeps scores > 1 - λ instead of >=",
            "src/tokencover/sets.py",
-           "if v >= cutoff]",
-           "if v > cutoff]"),
+           "return scores >= 1.0 - lam",
+           "return scores > 1.0 - lam"),
     Defect("B", "`RiskStep` counts truth scores equal to 1 - λ as missed",
            "src/tokencover/calibrate.py",
            'np.searchsorted(self._truth, 1.0 - lam, side="left")',
@@ -55,6 +55,10 @@ DEFECTS = [
            "src/tokencover/robust.py",
            "covered = len(truth_pairs & pairs)",
            "covered = len(truth.indices & {j for j, _ in pairs})"),
+    Defect("E", "the set rule counts kept tokens, not kept truth tokens, as covered",
+           "src/tokencover/sets.py",
+           "covered = np.add.reduceat(kept & truth, starts, dtype=np.int64)",
+           "covered = np.add.reduceat(kept, starts, dtype=np.int64)"),
     Defect("H", "`sim` never injects noise into robust trials",
            "src/tokencover/sim.py",
            "noisy = inject_noise(ex.question, lexicon, config.d, int(noise_rng.integers(2**63)))",
