@@ -129,11 +129,10 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 def _questions(
     args: argparse.Namespace,
-) -> tuple[ScoredArrays, list[TokenizedQuestion], dict[str, frozenset[int]]]:
-    """The dataset's arrays, its questions, and its ground truths by id."""
+) -> tuple[ScoredArrays, list[TokenizedQuestion], dict[str, list[int]]]:
+    """The dataset's arrays, its questions, and its ground-truth positions by id."""
     arrays = load_dataset(args.dataset, clamp_scores=args.clamp_scores).arrays
-    truths = arrays.explanations()
-    return arrays, arrays.questions(), {rid: t.indices for rid, t in zip(arrays.ids, truths)}
+    return arrays, arrays.questions(), dict(zip(arrays.ids, arrays.positions(arrays.truth)))
 
 
 def _flat_scores(scored: list[ImportanceScores], offsets: np.ndarray) -> np.ndarray:

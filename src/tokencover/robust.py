@@ -9,6 +9,13 @@ question always lies inside the ball of its own perturbed version (synonym
 sets are symmetric and self-inclusive), the robust set built from a noisy
 question never loses a (position, token) item that the plain set on the
 clean question would have kept.
+
+Coverage is judged by one pair rule: a ground-truth item is the pair
+(position, clean token), and only that exact pair covers it. ``_pair_stats``
+applies the rule to the flat items of many questions at once, the form the
+Monte Carlo trials use, and ``evaluate_pairs`` and ``evaluate_robust`` apply
+it to one question. ``_superset_holds`` is the flat check of the guarantee
+above.
 """
 
 from __future__ import annotations
@@ -20,6 +27,8 @@ import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
+
+import numpy as np
 
 from .calibrate import CalibrationResult
 from .core import GroundTruthExplanation, TokenizedQuestion
@@ -38,24 +47,39 @@ class BallBudgetError(ValueError):
 def _normalize_entries(
     entries: Mapping[str, Iterable[str]],
 ) -> tuple[dict[str, frozenset[str]], list[str]]:
-    """Enforce self-inclusion and symmetry, reporting every repair made."""
-    work: dict[str, set[str]] = {str(t): {str(s) for s in syns} for t, syns in entries.items()}
-    repairs: list[str] = []
+    """Enforce self-inclusion and symmetry, reporting every repair made.
+
+    One pass flags each entry that lacks itself or names a synonym whose
+    entry does not name it back. Only flagged entries are repaired: an
+    unflagged entry already points only at entries that point back at it,
+    and repairs only add members, so it would need no repair of its own.
+    """
+    work = {str(t): frozenset(map(str, syns)) for t, syns in entries.items()}
+    flagged = []
     for tok, syns in work.items():
         if tok not in syns:
-            syns.add(tok)
+            flagged.append(tok)
+            continue
+        for syn in syns:
+            if tok not in work.get(syn, ()):
+                flagged.append(tok)
+                break
+    repairs: list[str] = []
+    for tok in flagged:
+        if tok not in work[tok]:
+            work[tok] |= {tok}
             repairs.append(f"added {tok!r} to its own synonym set")
-    for tok in list(work):
+    for tok in flagged:
         for syn in sorted(work[tok]):
             if syn == tok:
                 continue
             if syn not in work:
-                work[syn] = {syn, tok}
+                work[syn] = frozenset((syn, tok))
                 repairs.append(f"created entry {syn!r} for symmetry with {tok!r}")
             elif tok not in work[syn]:
-                work[syn].add(tok)
+                work[syn] |= {tok}
                 repairs.append(f"added {tok!r} to {syn!r} for symmetry")
-    return {t: frozenset(s) for t, s in work.items()}, repairs
+    return work, repairs
 
 
 @dataclass(frozen=True)
@@ -362,6 +386,59 @@ class RobustEvaluation:
         }
 
 
+def _pair_stats(
+    question: np.ndarray,
+    position: np.ndarray,
+    clean: np.ndarray,
+    in_truth: np.ndarray,
+    selected: np.ndarray,
+    truth_sizes: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The pair rule of ``evaluate_pairs``, over many questions' items at once.
+
+    Item i is a (position, token) pair of question ``question[i]``, at
+    ``position[i]``; ``clean[i]`` says its token is the clean question's token
+    there and ``in_truth[i]`` that the position is a ground-truth position, so
+    an item with both is a ground-truth pair. No pair repeats within a
+    question, and the items may come in any order. For the ``selected``
+    items, returns per question (one entry per ``truth_sizes``) the item
+    count, the count of distinct positions, the covered ground-truth pairs
+    and the coverage loss, the share of ground-truth pairs not covered. A
+    synonym at a truth position covers nothing.
+    """
+    n = truth_sizes.size
+    q, p = question[selected], position[selected]
+    order = np.lexsort((p, q))
+    q, p = q[order], p[order]
+    first = np.ones(q.size, dtype=bool)
+    first[1:] = (q[1:] != q[:-1]) | (p[1:] != p[:-1])
+    n_items = np.bincount(q, minlength=n)
+    n_positions = np.bincount(q[first], minlength=n)
+    covered = np.bincount(question[selected & clean & in_truth], minlength=n)
+    return n_items, n_positions, covered, 1.0 - covered / truth_sizes
+
+
+def _superset_holds(
+    question: np.ndarray,
+    position: np.ndarray,
+    clean: np.ndarray,
+    selected: np.ndarray,
+    clean_kept: np.ndarray,
+    offsets: np.ndarray,
+) -> np.ndarray:
+    """Per question, whether the selected items hold (j, clean token) for every
+    position j of the plain set on the clean question.
+
+    Items are as in ``_pair_stats``. ``clean_kept`` is that plain set for all
+    questions, a flat mask in which question i owns
+    ``offsets[i]:offsets[i + 1]``; every question has at least one token.
+    """
+    robust = np.zeros(clean_kept.size, dtype=bool)
+    hit = selected & clean
+    robust[offsets[question[hit]] + position[hit]] = True
+    return np.logical_and.reduceat(robust | ~clean_kept, offsets[:-1])
+
+
 def evaluate_pairs(
     pairs: frozenset[tuple[int, str]],
     clean_question: TokenizedQuestion,
@@ -371,19 +448,28 @@ def evaluate_pairs(
 
     A ground-truth item is the pair (position, clean token string); it counts
     as covered only when ``pairs`` holds exactly that pair, so a synonym at
-    the right position does not cover it.
+    the right position does not cover it. This is ``_pair_stats`` for one
+    question.
     """
     if len(truth.indices) == 0:
         raise ValueError("ground-truth explanation is empty")
-    truth_pairs = {(j, clean_question.tokens[j]) for j in truth.indices}
-    covered = len(truth_pairs & pairs)
+    tokens = clean_question.tokens
+    listed = list(pairs)
+    n_items, n_positions, covered, losses = _pair_stats(
+        np.zeros(len(listed), dtype=np.int64),
+        np.array([j for j, _ in listed], dtype=np.int64),
+        np.array([0 <= j < len(tokens) and tokens[j] == tok for j, tok in listed], dtype=bool),
+        np.array([j in truth.indices for j, _ in listed], dtype=bool),
+        np.ones(len(listed), dtype=bool),
+        np.array([len(truth.indices)]),
+    )
     return RobustEvaluation(
         question_id=clean_question.id,
-        loss=1.0 - covered / len(truth_pairs),
-        n_items=len(pairs),
-        n_positions=len({j for j, _ in pairs}),
-        truth_size=len(truth_pairs),
-        covered=covered,
+        loss=float(losses[0]),
+        n_items=int(n_items[0]),
+        n_positions=int(n_positions[0]),
+        truth_size=len(truth.indices),
+        covered=int(covered[0]),
     )
 
 

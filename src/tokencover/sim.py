@@ -6,22 +6,26 @@ the test questions are perturbed with synonym noise and predicted robustly.
 Trial seeds derive from (master seed, trial index), so experiments are
 reproducible and trials are independent.
 
-Every per-question number comes from the library. A plain trial reads the
-test split's materialized scores, which are exactly what the oracle would
-give on re-scoring, and thresholds them once per alpha with the set rule of
-``sets`` (``_set_stats``, the flat form of ``build_set`` and ``evaluate``);
-no test question is re-scored and no set object is built. A robust trial
-takes its loss, set size and item count from ``robust.evaluate_robust`` on
-the robust set of the noisy question, its comparator (the plain set on the
-noisy question) from ``robust.evaluate_pairs``, the rule
-``evaluate_robust`` applies, and its superset check from
-``robust.plain_set_pairs``. Robust balls use the mode
-``robust.auto_ball_mode`` picks for the oracle scorer.
+Every per-question number comes from the library's rules. A plain trial
+reads the test split's materialized scores, which are exactly what the
+oracle would give on re-scoring, and thresholds them once per alpha with the
+set rule of ``sets`` (``_set_stats``, the flat form of ``build_set`` and
+``evaluate``); no test question is re-scored and no set object is built. A
+robust trial scores each noisy question's robust table once with
+``robust.robust_scores``, in the ball mode ``robust.auto_ball_mode`` picks
+for the oracle, and flattens all tables into parallel item arrays. Per
+alpha it applies the set comparison ``sets._kept`` once, and the flat pair
+rule ``robust._pair_stats`` (the array form of ``evaluate_pairs``) to all
+kept items for the robust loss, set size and item count, and to the kept
+noisy-token items for the comparator, the plain set on the noisy question;
+``robust._superset_holds`` checks that the robust set keeps each pair of the
+plain set on the clean question. With ``workers`` above 1, trials run in
+spawned processes.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import functools
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -38,17 +42,14 @@ from .core import (
 from .robust import (
     BallSpec,
     SynonymLexicon,
+    _pair_stats,
+    _superset_holds,
     auto_ball_mode,
-    ball_size,
-    evaluate_pairs,
-    evaluate_robust,
     inject_noise,
-    plain_set_pairs,
     robust_scores,
-    threshold_robust_scores,
 )
 from .scorer import OracleNoiseScorer, oracle_noise_score, truth_map
-from .sets import _set_stats, build_set
+from .sets import _kept, _set_stats
 
 
 @dataclass(frozen=True)
@@ -218,6 +219,45 @@ def _split_counts(config: SyntheticConfig, dataset: Dataset, seed: int) -> tuple
     return split_dataset(dataset, config.n_calibration / total, seed=_derived_seed(seed, 2))
 
 
+def _robust_items(
+    config: SyntheticConfig, test: Dataset, scorer: OracleNoiseScorer, trial_seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Perturb every test question and flatten its robust table into items.
+
+    Returns parallel arrays with one entry per (position, candidate) item of
+    every noisy question's table: the question's index in ``test``, the
+    position, the robust score, whether the candidate is the clean token
+    there, and whether it is the noisy token. The oracle is context-free, so
+    each noisy-token item carries the score the noisy question gets at that
+    position. Only test questions are perturbed and robustly scored, so the
+    lexicon needs only their tokens.
+    """
+    lexicon = synthetic_lexicon(test, config.synonym_fanout)
+    spec = BallSpec(d=config.d, mode=auto_ball_mode(scorer))
+    noise_rng = np.random.default_rng(np.random.SeedSequence(entropy=[trial_seed, 3]))
+    counts: list[int] = []
+    position: list[int] = []
+    score: list[float] = []
+    clean: list[bool] = []
+    noisy_token: list[bool] = []
+    for ex in test.examples:
+        q = ex.question
+        noisy = inject_noise(q, lexicon, config.d, int(noise_rng.integers(2**63)))
+        table = robust_scores(noisy, lexicon, spec, scorer)
+        counts.append(len(table))
+        score.extend(table.values())
+        position.extend([j for j, _ in table])
+        clean.extend([tok == q.tokens[j] for j, tok in table])
+        noisy_token.extend([tok == noisy.tokens[j] for j, tok in table])
+    return (
+        np.repeat(np.arange(len(counts)), counts),
+        np.array(position, dtype=np.int64),
+        np.array(score, dtype=np.float64),
+        np.array(clean, dtype=bool),
+        np.array(noisy_token, dtype=bool),
+    )
+
+
 def _run_trial(
     config: SyntheticConfig,
     alphas: Sequence[float],
@@ -239,8 +279,8 @@ def _run_trial(
     step = RiskStep(cal.arrays)
     results = [calibrate(step, a, scorer_id=scorer.identity) for a in alphas]
 
+    arrays = test.arrays
     if not robust:
-        arrays = test.arrays
         out = []
         for a, res in zip(alphas, results):
             _, sizes, losses = _set_stats(
@@ -259,37 +299,25 @@ def _run_trial(
             )
         return out
 
-    # Only test questions are perturbed and robustly scored, so the lexicon
-    # needs only their tokens. Each question's robust table is built once and
-    # thresholded at every alpha.
-    lexicon = synthetic_lexicon(test, config.synonym_fanout)
-    spec = BallSpec(d=config.d, mode=auto_ball_mode(scorer))
-    noise_rng = np.random.default_rng(np.random.SeedSequence(entropy=[trial_seed, 3]))
-    perturbed = []
-    for ex in test.examples:
-        noisy = inject_noise(ex.question, lexicon, config.d, int(noise_rng.integers(2**63)))
-        perturbed.append(
-            (
-                ex,
-                noisy,
-                robust_scores(noisy, lexicon, spec, scorer),
-                ball_size(noisy, lexicon, spec),
-                scorer.score_question(noisy),
-            )
-        )
+    question, position, score, clean, noisy = _robust_items(config, test, scorer, trial_seed)
+    starts = arrays.offsets[:-1]
+    in_truth = arrays.truth[starts[question] + position]
+    truth_sizes = np.add.reduceat(arrays.truth, starts, dtype=np.int64)
     out = []
     for a, res in zip(alphas, results):
         lam = res.lambda_hat
-        evals, comparator, superset = [], [], []
-        for ex, noisy, table, n_ball, noisy_scores in perturbed:
-            q, truth = ex.question, ex.explanation
-            rset = threshold_robust_scores(noisy, table, lam, n_ball)
-            evals.append(evaluate_robust(rset, q, truth))
-            noisy_pairs = plain_set_pairs(build_set(noisy, noisy_scores, lam))
-            comparator.append(evaluate_pairs(noisy_pairs, q, truth))
-            # the oracle reproduces ex.scores exactly on the clean question
-            clean_pairs = plain_set_pairs(build_set(q, ex.scores, lam))
-            superset.append(1.0 if clean_pairs <= rset.pairs() else 0.0)
+        kept = _kept(score, lam)
+        n_items, n_positions, _, losses = _pair_stats(
+            question, position, clean, in_truth, kept, truth_sizes
+        )
+        # the comparator: the plain set on the noisy question
+        _, comp_positions, _, comp_losses = _pair_stats(
+            question, position, clean, in_truth, kept & noisy, truth_sizes
+        )
+        # the materialized scores are the plain scores of the clean questions
+        superset = _superset_holds(
+            question, position, clean, kept, _kept(arrays.scores, lam), arrays.offsets
+        )
         out.append(
             TrialResult(
                 alpha=a,
@@ -297,12 +325,12 @@ def _run_trial(
                 robust=True,
                 lambda_hat=lam,
                 feasible=res.feasible,
-                mean_loss=float(np.mean([e.loss for e in evals])),
-                mean_set_size=float(np.mean([e.n_positions for e in evals])),
-                comparator_mean_loss=float(np.mean([c.loss for c in comparator])),
-                comparator_mean_set_size=float(np.mean([c.n_positions for c in comparator])),
+                mean_loss=float(np.mean(losses)),
+                mean_set_size=float(np.mean(n_positions)),
+                comparator_mean_loss=float(np.mean(comp_losses)),
+                comparator_mean_set_size=float(np.mean(comp_positions)),
                 superset_rate=float(np.mean(superset)),
-                mean_n_items=float(np.mean([e.n_items for e in evals])),
+                mean_n_items=float(np.mean(n_items)),
             )
         )
     return out
@@ -333,7 +361,10 @@ def run_coverage_experiment(
     Accepts one alpha or a sequence; a sequence shares each trial's dataset
     and scoring across all alphas, which only recalibrates the threshold.
     Trial seeds derive from (config.seed, trial index). With a single trial
-    the standard error is undefined and reported as None.
+    the standard error is undefined and reported as None. With ``workers``
+    above 1, trials run in up to that many spawned processes and give the
+    same results as a serial run; a script that calls this from its top level
+    must then guard it with ``if __name__ == "__main__":``.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -342,12 +373,15 @@ def run_coverage_experiment(
     if not alphas:
         raise ValueError("need at least one alpha")
     trial_seeds = [_derived_seed(config.seed, t) for t in range(trials)]
-
-    def one(seed: int) -> list[TrialResult]:
-        return _run_trial(config, alphas, mode, robust, seed)
-
+    one = functools.partial(_run_trial, config, alphas, mode, robust)
     if workers > 1 and trials > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        # imported here so that importing the package stays cheap
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(
+            max_workers=min(workers, trials), mp_context=multiprocessing.get_context("spawn")
+        ) as pool:
             all_trials = list(pool.map(one, trial_seeds))
     else:
         all_trials = [one(s) for s in trial_seeds]

@@ -20,6 +20,8 @@ from tokencover.robust import (
     BallSpec,
     RobustUncertaintySet,
     SynonymLexicon,
+    _pair_stats,
+    _superset_holds,
     auto_ball_mode,
     ball_size,
     build_robust_set,
@@ -33,7 +35,7 @@ from tokencover.robust import (
     robust_scores,
 )
 from tokencover.scorer import OracleNoiseScorer, ScorerError, TableScorer
-from tokencover.sets import build_set
+from tokencover.sets import _kept, build_set
 
 
 def q(tokens, qid="q0"):
@@ -448,3 +450,67 @@ class TestEvaluateRobust:
         rset = self.make_set({(0, "a")})
         with pytest.raises(ValueError, match="empty"):
             evaluate_robust(rset, q(["a"]), GroundTruthExplanation(frozenset()))
+
+
+class TestFlatPairRule:
+    """The array form of ``evaluate_pairs`` that robust trials apply to all
+    test questions at once, and its superset comparison."""
+
+    # question, position, token: a hand-built table of two clean questions,
+    # q0 = ("good", "day") with truth {0, 1} and q1 = ("big", "cat", "sat")
+    # with truth {1}; items are listed out of order on purpose
+    ITEMS = [(1, 2, "sat"), (0, 1, "day"), (0, 0, "fine"), (1, 1, "cat"),
+             (0, 0, "good"), (1, 1, "dog"), (1, 0, "big")]
+    CLEAN = (("good", "day"), ("big", "cat", "sat"))
+    TRUTH = ({0, 1}, {1})
+
+    def columns(self):
+        question = np.array([i for i, _, _ in self.ITEMS])
+        position = np.array([j for _, j, _ in self.ITEMS])
+        clean = np.array([tok == self.CLEAN[i][j] for i, j, tok in self.ITEMS])
+        in_truth = np.array([j in self.TRUTH[i] for i, j, _ in self.ITEMS])
+        return question, position, clean, in_truth
+
+    def test_matches_set_arithmetic_on_every_selection(self):
+        question, position, clean, in_truth = self.columns()
+        truth_sizes = np.array([len(t) for t in self.TRUTH])
+        for selected in itertools.product([False, True], repeat=len(self.ITEMS)):
+            n_items, n_positions, covered, losses = _pair_stats(
+                question, position, clean, in_truth, np.array(selected), truth_sizes)
+            for i, tokens in enumerate(self.CLEAN):
+                pairs = {(j, tok) for (qi, j, tok), s in zip(self.ITEMS, selected)
+                         if s and qi == i}
+                hits = len(pairs & {(j, tokens[j]) for j in self.TRUTH[i]})
+                assert n_items[i] == len(pairs)
+                assert n_positions[i] == len({j for j, _ in pairs})
+                assert covered[i] == hits
+                assert losses[i] == 1.0 - hits / len(self.TRUTH[i])
+
+    def test_synonym_at_truth_position_covers_nothing(self):
+        question, position, clean, in_truth = self.columns()
+        # q0 keeps only the synonym "fine" at truth position 0; q1 only "dog"
+        selected = np.array([tok in ("fine", "dog") for _, _, tok in self.ITEMS])
+        _, n_positions, covered, losses = _pair_stats(
+            question, position, clean, in_truth, selected, np.array([2, 1]))
+        assert n_positions.tolist() == [1, 1]
+        assert covered.tolist() == [0, 0]
+        assert losses.tolist() == [1.0, 1.0]
+
+    def test_superset_fails_on_a_missing_or_dropped_clean_pair(self):
+        # three questions of two tokens each; the plain set on each clean
+        # question keeps both positions
+        offsets = np.array([0, 2, 4, 6])
+        clean_kept = np.ones(6, dtype=bool)
+        # q0 has both clean pairs, q1 has only a synonym at position 1, and
+        # q2 has its clean pair at position 0 below the cutoff
+        question = np.array([0, 0, 1, 1, 2, 2, 2])
+        position = np.array([0, 1, 0, 1, 0, 0, 1])
+        clean = np.array([True, True, True, False, True, False, True])
+        score = np.array([0.9, 0.8, 0.9, 0.9, 0.2, 0.9, 0.9])
+        selected = _kept(score, 0.5)
+        holds = _superset_holds(question, position, clean, selected, clean_kept, offsets)
+        assert holds.tolist() == [True, False, False]
+        # a position the clean plain set does not keep needs no robust pair
+        clean_kept[[3, 4]] = False
+        holds = _superset_holds(question, position, clean, selected, clean_kept, offsets)
+        assert holds.tolist() == [True, True, True]

@@ -7,11 +7,22 @@ import pytest
 
 from tokencover.calibrate import calibrate_exact, calibrate_grid
 from tokencover.core import validate_example
+from tokencover.robust import (
+    BallSpec,
+    auto_ball_mode,
+    evaluate_pairs,
+    evaluate_robust,
+    inject_noise,
+    plain_set_pairs,
+    robust_scores,
+    threshold_robust_scores,
+)
 from tokencover.sets import build_set, evaluate
 from tokencover.sim import (
     CSV_HEADER,
     CoverageReport,
     SyntheticConfig,
+    _derived_seed,
     _split_counts,
     generate_synthetic_dataset,
     oracle_scorer,
@@ -158,6 +169,11 @@ class TestRunCoverageExperiment:
         threaded = run_coverage_experiment(SMALL, alpha=0.3, trials=4, workers=4)
         assert serial == threaded
 
+    def test_workers_do_not_change_robust_results(self):
+        serial = run_coverage_experiment(SMALL, [0.2, 0.45], trials=5, robust=True)
+        pooled = run_coverage_experiment(SMALL, [0.2, 0.45], trials=5, robust=True, workers=2)
+        assert serial == pooled
+
     def test_alpha_sequence_matches_independent_runs(self):
         multi = run_coverage_experiment(SMALL, alpha=[0.2, 0.4], trials=3)
         assert isinstance(multi, list)
@@ -301,3 +317,50 @@ class TestPlainTrialMatchesPerQuestionPath:
             ]
             assert res.mean_loss == np.mean([r.loss for r in reports])
             assert res.mean_set_size == np.mean([r.set_size for r in reports])
+
+
+class TestRobustTrialMatchesPerQuestionPath:
+    """A robust trial thresholds one flat table of every test question's
+    robust scores per alpha; its numbers must be bit-equal to building and
+    evaluating each question's robust set, comparator and superset check one
+    question at a time, with the noisy question re-scored by the oracle."""
+
+    @pytest.mark.parametrize("mode", ["exact", "grid"])
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    @pytest.mark.parametrize("fanout", [0, 1, 2])
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_bit_equal(self, d, fanout, sigma, mode):
+        config = SyntheticConfig(n_calibration=40, n_test=40, k_range=(1, 3), sigma=sigma,
+                                 synonym_fanout=fanout, d=d, seed=0)
+        for trial_seed in (_derived_seed(0, 0), _derived_seed(0, 1)):
+            dataset = generate_synthetic_dataset(config, seed=trial_seed)
+            cal, test = _split_counts(config, dataset, trial_seed)
+            oracle = oracle_scorer(config, test, seed=trial_seed)
+            lexicon = synthetic_lexicon(test, fanout)
+            spec = BallSpec(d=d, mode=auto_ball_mode(oracle))
+            noise_rng = np.random.default_rng(np.random.SeedSequence(entropy=[trial_seed, 3]))
+            perturbed = []
+            for ex in test.examples:
+                noisy = inject_noise(ex.question, lexicon, d, int(noise_rng.integers(2**63)))
+                perturbed.append((ex, noisy, robust_scores(noisy, lexicon, spec, oracle)))
+            for alpha in (0.1, 0.2, 0.45, 0.8):
+                res = run_trial(config, alpha, mode=mode, robust=True, trial_seed=trial_seed)
+                calibrate = calibrate_exact if mode == "exact" else calibrate_grid
+                lam = calibrate(cal.examples, alpha).lambda_hat
+                assert res.lambda_hat == lam
+                evals, comparator, superset = [], [], []
+                for ex, noisy, table in perturbed:
+                    q, truth = ex.question, ex.explanation
+                    rset = threshold_robust_scores(noisy, table, lam, 0)
+                    evals.append(evaluate_robust(rset, q, truth))
+                    noisy_set = build_set(noisy, oracle.score_question(noisy), lam)
+                    comparator.append(evaluate_pairs(plain_set_pairs(noisy_set), q, truth))
+                    clean_pairs = plain_set_pairs(build_set(q, ex.scores, lam))
+                    superset.append(1.0 if clean_pairs <= rset.pairs() else 0.0)
+                assert res.mean_loss == np.mean([e.loss for e in evals])
+                assert res.mean_set_size == np.mean([e.n_positions for e in evals])
+                assert res.mean_n_items == np.mean([e.n_items for e in evals])
+                assert res.comparator_mean_loss == np.mean([c.loss for c in comparator])
+                assert res.comparator_mean_set_size == np.mean(
+                    [c.n_positions for c in comparator])
+                assert res.superset_rate == np.mean(superset)

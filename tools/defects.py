@@ -51,18 +51,22 @@ DEFECTS = [
            "src/tokencover/calibrate.py",
            'np.searchsorted(self._truth, 1.0 - lam, side="left")',
            'np.searchsorted(self._truth, 1.0 - lam, side="right")'),
-    Defect("C", "the (position, clean token) pair rule matches by position only",
+    Defect("C", "the flat (position, clean token) pair rule matches by position only",
            "src/tokencover/robust.py",
-           "covered = len(truth_pairs & pairs)",
-           "covered = len(truth.indices & {j for j, _ in pairs})"),
+           "covered = np.bincount(question[selected & clean & in_truth], minlength=n)",
+           "covered = np.bincount(q[first & in_truth[selected][order]], minlength=n)"),
     Defect("E", "the set rule counts kept tokens, not kept truth tokens, as covered",
            "src/tokencover/sets.py",
            "covered = np.add.reduceat(kept & truth, starts, dtype=np.int64)",
            "covered = np.add.reduceat(kept, starts, dtype=np.int64)"),
     Defect("H", "`sim` never injects noise into robust trials",
            "src/tokencover/sim.py",
-           "noisy = inject_noise(ex.question, lexicon, config.d, int(noise_rng.integers(2**63)))",
-           "noisy = ex.question"),
+           "noisy = inject_noise(q, lexicon, config.d, int(noise_rng.integers(2**63)))",
+           "noisy = q"),
+    Defect("S", "the flat superset check always passes",
+           "src/tokencover/robust.py",
+           "return np.logical_and.reduceat(robust | ~clean_kept, offsets[:-1])",
+           "return np.ones(offsets.size - 1, dtype=bool)"),
 ]
 
 
