@@ -42,7 +42,6 @@ from .robust import (
     evaluate_robust,
     inject_noise,
     load_lexicon,
-    robust_score,
 )
 from .scorer import (
     ScoreCache,
@@ -59,7 +58,6 @@ from .sets import (
     build_set,
     evaluate,
     predict,
-    predict_batch,
 )
 from .sim import (
     CoverageReport,
@@ -116,9 +114,7 @@ __all__ = [
     "make_scorer",
     "oracle_noise_score",
     "predict",
-    "predict_batch",
     "risk_curve",
-    "robust_score",
     "run_coverage_experiment",
     "run_trial",
     "split_dataset",

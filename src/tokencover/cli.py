@@ -29,9 +29,9 @@ from .calibrate import (
     risk_curve,
     uniform_grid,
 )
-from .core import DatasetError, ImportanceScores, ScoredArrays, TokenizedQuestion, load_dataset
+from .core import DatasetError, ImportanceScores, load_dataset
 from .robust import BallBudgetError, BallSpec, auto_ball_mode, build_robust_set, load_lexicon
-from .scorer import ScorerError, ScorerSpec, make_scorer
+from .scorer import ScorerError, ScorerSpec, make_scorer, truth_map
 from .sets import _score_batch, _set_stats
 from .sim import CoverageReport, SyntheticConfig, run_coverage_experiment, summarize
 
@@ -127,14 +127,6 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _questions(
-    args: argparse.Namespace,
-) -> tuple[ScoredArrays, list[TokenizedQuestion], dict[str, list[int]]]:
-    """The dataset's arrays, its questions, and its ground-truth positions by id."""
-    arrays = load_dataset(args.dataset, clamp_scores=args.clamp_scores).arrays
-    return arrays, arrays.questions(), dict(zip(arrays.ids, arrays.positions(arrays.truth)))
-
-
 def _flat_scores(scored: list[ImportanceScores], offsets: np.ndarray) -> np.ndarray:
     """The scores of all questions as one float64 array aligned with ``offsets``."""
     lengths = np.fromiter(map(len, scored), dtype=np.int64, count=len(scored))
@@ -148,11 +140,12 @@ def _flat_scores(scored: list[ImportanceScores], offsets: np.ndarray) -> np.ndar
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    arrays, questions, truth_by_id = _questions(args)
+    dataset = load_dataset(args.dataset, clamp_scores=args.clamp_scores)
+    arrays = dataset.arrays
     calibration = _load_calibration(args.calibration)
     spec = parse_scorer_spec(args.scorer, args.seed)
-    scorer = make_scorer(spec, truth_by_id=truth_by_id, cache_dir=_cache_dir(args))
-    scored = _score_batch(questions, scorer, calibration, args.strict, args.workers)
+    scorer = make_scorer(spec, truth_by_id=truth_map(dataset), cache_dir=_cache_dir(args))
+    scored = _score_batch(arrays.questions(), scorer, calibration, args.strict, args.workers)
     lam = calibration.lambda_hat
     kept, sizes, losses = _set_stats(
         _flat_scores(scored, arrays.offsets), arrays.offsets, arrays.truth, lam
@@ -171,15 +164,15 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_robust_predict(args: argparse.Namespace) -> int:
-    _, questions, truth_by_id = _questions(args)
+    dataset = load_dataset(args.dataset, clamp_scores=args.clamp_scores)
     calibration = _load_calibration(args.calibration)
     lexicon = load_lexicon(args.lexicon)
     spec = parse_scorer_spec(args.scorer, args.seed)
-    scorer = make_scorer(spec, truth_by_id=truth_by_id, cache_dir=_cache_dir(args))
+    scorer = make_scorer(spec, truth_by_id=truth_map(dataset), cache_dir=_cache_dir(args))
     mode = auto_ball_mode(scorer) if args.ball_mode == "auto" else args.ball_mode
     ball = BallSpec(d=args.d, enumeration_budget=args.budget, mode=mode)
     lines = []
-    for question in questions:
+    for question in dataset.arrays.questions():
         calls_before, hits_before = scorer.calls, scorer.cache_hits
         rset = build_robust_set(question, lexicon, ball, scorer, calibration, strict=args.strict)
         rec = {

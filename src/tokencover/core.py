@@ -4,15 +4,18 @@ A calibration example pairs a tokenized question with per-token importance
 scores in [0, 1] and a ground-truth explanation given as token positions.
 Datasets are stored as JSON Lines, one example per line.
 
-A ``Dataset`` holds its examples, its ``ScoredArrays`` (the columnar view
-that calibration reads: flat scores, offsets and a truth mask), or both;
-each form is built from the other on first use. ``load_dataset`` parses
-straight into the arrays with bulk checks, and falls back to building and
-validating one record at a time only to report the first error.
+A ``Dataset`` holds one form of its records, ``ScoredArrays``: ids, token
+tuples and answers, plus flat scores, offsets and a truth mask. Loading,
+synthetic generation, splitting, writing and the ground-truth lookup all
+work on the arrays; per-record ``CalibrationExample``s are a view built from
+them on request. ``load_dataset`` parses straight into the arrays with bulk
+checks, and falls back to building and validating one record at a time only
+to report the first error.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass
@@ -108,6 +111,10 @@ class ScoredArrays:
     offsets: np.ndarray
     truth: np.ndarray
 
+    def __post_init__(self) -> None:
+        for array in (self.scores, self.offsets, self.truth):
+            array.flags.writeable = False
+
     def __len__(self) -> int:
         return len(self.ids)
 
@@ -143,10 +150,19 @@ class ScoredArrays:
         offsets = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(size)))
         truth = np.zeros(scores.size, dtype=bool)
         truth[offsets[owner] + positions] = True
-        for array in (scores, offsets, truth):
-            array.flags.writeable = False
         return cls(ids=tuple(ids), tokens=tuple(tokens), answers=tuple(answers),
                    scores=scores, offsets=offsets, truth=truth)
+
+    def take(self, rows: list[int]) -> "ScoredArrays":
+        """The examples at ``rows``, in that order, each with its scores and truth."""
+        lengths = np.diff(self.offsets)[rows]
+        offsets = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(lengths)))
+        # each kept token's flat index in self: its row's old start plus its place in the row
+        flat = np.repeat(self.offsets[rows] - offsets[:-1], lengths) + np.arange(offsets[-1])
+        return ScoredArrays(ids=tuple(self.ids[i] for i in rows),
+                            tokens=tuple(self.tokens[i] for i in rows),
+                            answers=tuple(self.answers[i] for i in rows),
+                            scores=self.scores[flat], offsets=offsets, truth=self.truth[flat])
 
     def questions(self) -> list[TokenizedQuestion]:
         return [TokenizedQuestion(id=rid, tokens=toks) for rid, toks in zip(self.ids, self.tokens)]
@@ -160,27 +176,27 @@ class ScoredArrays:
         bounds = np.searchsorted(marked, self.offsets).tolist()
         return [local[a:b] for a, b in zip(bounds, bounds[1:])]
 
-    def explanations(self) -> list[GroundTruthExplanation]:
-        return [GroundTruthExplanation(frozenset(p)) for p in self.positions(self.truth)]
-
     def examples(self) -> tuple[CalibrationExample, ...]:
         """One ``CalibrationExample`` per record, built anew on each call."""
         bounds = self.offsets.tolist()
         values = self.scores.tolist()
         return tuple(
             CalibrationExample(question=q, scores=ImportanceScores(tuple(values[a:b])),
-                               explanation=truth, answer=answer)
-            for q, truth, answer, a, b in zip(self.questions(), self.explanations(),
+                               explanation=GroundTruthExplanation(frozenset(truth)),
+                               answer=answer)
+            for q, truth, answer, a, b in zip(self.questions(), self.positions(self.truth),
                                               self.answers, bounds, bounds[1:])
         )
 
 
 class Dataset:
-    """An ordered collection of examples; ``source_path`` is provenance only.
+    """An ordered scored dataset, held as ``ScoredArrays``; ``source_path`` is
+    provenance only.
 
-    It is built from examples or from ``ScoredArrays`` and makes the other
-    form on first use, so a loaded dataset that is only calibrated never
-    builds per-record objects. Two datasets are equal when their examples are.
+    ``Dataset(examples=...)`` flattens the examples once. ``examples`` is an
+    immutable view, one ``CalibrationExample`` per record, built from the
+    arrays on first use, so a dataset that is only calibrated never builds
+    per-record objects. Two datasets are equal when their examples are.
     """
 
     def __init__(
@@ -191,24 +207,15 @@ class Dataset:
     ):
         if (examples is None) == (arrays is None):
             raise TypeError("a Dataset takes examples or arrays, not both or neither")
-        self._examples = None if examples is None else tuple(examples)
-        self._arrays = arrays
+        self.arrays = ScoredArrays.from_examples(examples) if arrays is None else arrays
         self.source_path = source_path
 
-    @property
+    @functools.cached_property
     def examples(self) -> tuple[CalibrationExample, ...]:
-        if self._examples is None:
-            self._examples = self._arrays.examples()
-        return self._examples
-
-    @property
-    def arrays(self) -> ScoredArrays:
-        if self._arrays is None:
-            self._arrays = ScoredArrays.from_examples(self._examples)
-        return self._arrays
+        return self.arrays.examples()
 
     def __len__(self) -> int:
-        return len(self._arrays) if self._examples is None else len(self._examples)
+        return len(self.arrays)
 
     def __iter__(self):
         return iter(self.examples)
@@ -272,6 +279,15 @@ def _record_to_example(rec: dict[str, Any], lineno: int, clamp_scores: bool) -> 
         isinstance(s, (int, float)) and not isinstance(s, bool) for s in scores
     ):
         raise DatasetError(f"line {lineno} (id={rid!r}): field 'scores' must be a list of numbers")
+    for j, s in enumerate(scores):
+        try:
+            float(s)
+        except OverflowError:  # an integer beyond the float range
+            if not clamp_scores:
+                raise DatasetError(
+                    f"line {lineno} (id={rid!r}): scores[{j}] is outside the range of a float"
+                ) from None
+            scores[j] = float("inf") if s > 0 else float("-inf")
     if clamp_scores:  # NaN stays, to be rejected as not finite
         scores = [s if s != s else min(1.0, max(0.0, float(s))) for s in scores]
     indices = rec["explanation_indices"]
@@ -320,7 +336,7 @@ def _bulk_arrays(lines: Iterable[str], clamp_scores: bool) -> ScoredArrays | Non
     """The records as arrays, or None if any line might be invalid."""
     try:
         recs = [json.loads(line) for line in lines if not line.isspace()]
-    except json.JSONDecodeError:
+    except ValueError:  # invalid JSON, or an integer over Python's digit limit
         return None
     if set(map(type, recs)) != {dict}:
         return None
@@ -375,7 +391,7 @@ def _load_records(
             continue
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # JSONDecodeError, or an integer over the digit limit
             raise DatasetError(f"line {lineno}: invalid JSON: {e}") from None
         if not isinstance(rec, dict):
             raise DatasetError(f"line {lineno}: record must be a JSON object")
@@ -399,16 +415,20 @@ def _load_records(
 def write_dataset(dataset: Dataset, path: str | Path) -> None:
     """Write a dataset as JSON Lines; load_dataset(write(ds)) == ds exactly."""
     path = Path(path)
+    arrays = dataset.arrays
+    bounds = arrays.offsets.tolist()
+    rows = zip(arrays.ids, arrays.tokens, arrays.answers, bounds, bounds[1:],
+               arrays.positions(arrays.truth))
     with path.open("w", encoding="utf-8") as fh:
-        for ex in dataset.examples:
+        for rid, tokens, answer, lo, hi, truth in rows:
             rec: dict[str, Any] = {
-                "id": ex.question.id,
-                "tokens": list(ex.question.tokens),
-                "scores": list(ex.scores.values),
-                "explanation_indices": sorted(ex.explanation.indices),
+                "id": rid,
+                "tokens": list(tokens),
+                "scores": arrays.scores[lo:hi].tolist(),
+                "explanation_indices": truth,
             }
-            if ex.answer is not None:
-                rec["answer"] = ex.answer
+            if answer is not None:
+                rec["answer"] = answer
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
@@ -421,7 +441,7 @@ def split_dataset(dataset: Dataset, fraction: float, seed: int) -> tuple[Dataset
     """
     if not 0.0 < fraction < 1.0:
         raise DatasetError(f"fraction must be in (0, 1), got {fraction}")
-    n = len(dataset.examples)
+    n = len(dataset)
     n_left = round(fraction * n)
     if n_left <= 0 or n_left >= n:
         raise DatasetError(
@@ -429,10 +449,8 @@ def split_dataset(dataset: Dataset, fraction: float, seed: int) -> tuple[Dataset
         )
     order = list(range(n))
     random.Random(seed).shuffle(order)
-    left = tuple(dataset.examples[i] for i in order[:n_left])
-    right = tuple(dataset.examples[i] for i in order[n_left:])
     return (
-        Dataset(examples=left, source_path=dataset.source_path),
-        Dataset(examples=right, source_path=dataset.source_path),
+        Dataset(arrays=dataset.arrays.take(order[:n_left]), source_path=dataset.source_path),
+        Dataset(arrays=dataset.arrays.take(order[n_left:]), source_path=dataset.source_path),
     )
 

@@ -279,30 +279,6 @@ def robust_scores(
     return best
 
 
-def robust_score(
-    question: TokenizedQuestion,
-    position: int,
-    candidate: str,
-    lexicon: SynonymLexicon,
-    spec: BallSpec,
-    scorer: _ScorerBase | ScorerSpec,
-) -> float:
-    """Robust score of one candidate token at one position."""
-    if not 0 <= position < len(question.tokens):
-        raise ValueError(f"position {position} outside [0, {len(question.tokens)})")
-    observed = question.tokens[position]
-    if candidate not in lexicon.synonyms(observed):
-        raise ValueError(
-            f"candidate {candidate!r} is not a synonym of observed token {observed!r}"
-        )
-    if spec.d == 0 and candidate != observed:
-        raise ValueError(
-            f"candidate {candidate!r} at position {position} is unreachable with d=0"
-        )
-    table = robust_scores(question, lexicon, spec, scorer)
-    return table[(position, candidate)]
-
-
 def threshold_robust_scores(
     question: TokenizedQuestion,
     table: Mapping[tuple[int, str], float],

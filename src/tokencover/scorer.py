@@ -22,7 +22,7 @@ from pathlib import Path
 from statistics import NormalDist
 from typing import Any, Iterable, Mapping, Sequence
 
-from .core import CalibrationExample, Dataset, ImportanceScores, TokenizedQuestion
+from .core import Dataset, ImportanceScores, TokenizedQuestion
 
 ScoreCacheKey = str
 
@@ -379,10 +379,10 @@ class RemoteScorer(_ScorerBase):
         return ImportanceScores(values)
 
 
-def truth_map(dataset: Dataset | Iterable[CalibrationExample]) -> dict[str, frozenset[int]]:
+def truth_map(dataset: Dataset) -> dict[str, frozenset[int]]:
     """Ground-truth lookup (question id -> explanation indices) for the oracle."""
-    examples = dataset.examples if isinstance(dataset, Dataset) else dataset
-    return {ex.question.id: frozenset(ex.explanation.indices) for ex in examples}
+    arrays = dataset.arrays
+    return dict(zip(arrays.ids, map(frozenset, arrays.positions(arrays.truth))))
 
 
 _ALLOWED_PARAMS = {

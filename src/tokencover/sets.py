@@ -143,19 +143,6 @@ def predict(
     return build_set(question, s.score_question(question), calibration.lambda_hat)
 
 
-def predict_batch(
-    questions: Sequence[TokenizedQuestion],
-    scorer: _ScorerBase | ScorerSpec,
-    calibration: CalibrationResult,
-    strict: bool = False,
-    workers: int = 1,
-) -> list[UncertaintySet]:
-    """Predict many questions, optionally on a thread pool, preserving order."""
-    lam = calibration.lambda_hat
-    scored = _score_batch(questions, scorer, calibration, strict, workers)
-    return [build_set(q, sc, lam) for q, sc in zip(questions, scored)]
-
-
 def _score_batch(
     questions: Sequence[TokenizedQuestion],
     scorer: _ScorerBase | ScorerSpec,

@@ -4,7 +4,9 @@ Each trial draws an i.i.d. synthetic dataset, splits it, calibrates a
 threshold on one side, and measures coverage loss on the other; optionally
 the test questions are perturbed with synonym noise and predicted robustly.
 Trial seeds derive from (master seed, trial index), so experiments are
-reproducible and trials are independent.
+reproducible and trials are independent. The dataset is drawn straight into
+``ScoredArrays`` and split by rows of the arrays, so a plain trial builds no
+per-question object at all.
 
 Every per-question number comes from the library's rules. A plain trial
 reads the test split's materialized scores, which are exactly what the
@@ -32,13 +34,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .calibrate import MODE_EXACT, MODE_GRID, RiskStep, calibrate_exact, calibrate_grid
-from .core import (
-    CalibrationExample,
-    Dataset,
-    GroundTruthExplanation,
-    TokenizedQuestion,
-    split_dataset,
-)
+from .core import Dataset, ScoredArrays, split_dataset
 from .robust import (
     BallSpec,
     SynonymLexicon,
@@ -48,7 +44,7 @@ from .robust import (
     inject_noise,
     robust_scores,
 )
-from .scorer import OracleNoiseScorer, oracle_noise_score, truth_map
+from .scorer import OracleNoiseScorer, _oracle_token, truth_map
 from .sets import _kept, _set_stats
 
 
@@ -161,29 +157,36 @@ def generate_synthetic_dataset(config: SyntheticConfig, seed: int | None = None)
     token with probability truth_fraction, with at least one truth token
     forced per question. Scores are materialized with the noisy oracle at the
     config's sigma, so re-scoring any question with the matching oracle
-    scorer (see ``oracle_scorer``) reproduces them exactly.
+    scorer (see ``oracle_scorer``) reproduces them exactly. The draws go
+    straight into the dataset's arrays.
     """
     base = config.seed if seed is None else seed
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[base, 0]))
     s_seed = _scorer_seed(base)
     kmin, kmax = config.k_range
-    examples = []
-    for i in range(config.n_calibration + config.n_test):
+    n = config.n_calibration + config.n_test
+    tokens: list[tuple[str, ...]] = []
+    lengths: list[int] = []
+    counts: list[int] = []
+    positions: list[int] = []
+    scores: list[float] = []
+    for _ in range(n):
         k = int(rng.integers(kmin, kmax + 1))
-        tokens = tuple(f"w{v}" for v in rng.integers(0, 1_000_000_000, size=k).tolist())
+        toks = tuple(f"w{v}" for v in rng.integers(0, 1_000_000_000, size=k).tolist())
         mask = rng.random(k) < config.truth_fraction
         if not mask.any():
             mask[int(rng.integers(0, k))] = True
-        truth = frozenset(np.flatnonzero(mask).tolist())
-        scores = oracle_noise_score(truth, tokens, config.sigma, s_seed)
-        examples.append(
-            CalibrationExample(
-                question=TokenizedQuestion(id=f"q{i}", tokens=tokens),
-                scores=scores,
-                explanation=GroundTruthExplanation(truth),
-            )
-        )
-    return Dataset(examples=tuple(examples), source_path=f"synthetic(seed={base})")
+        truth = np.flatnonzero(mask).tolist()
+        tokens.append(toks)
+        lengths.append(k)
+        counts.append(len(truth))
+        positions.extend(truth)
+        scores.extend([_oracle_token(m, config.sigma, s_seed, j, tok)
+                       for j, (m, tok) in enumerate(zip(mask.tolist(), toks))])
+    arrays = ScoredArrays._pack([f"q{i}" for i in range(n)], tokens, [None] * n,
+                                np.array(scores, dtype=np.float64), lengths, counts,
+                                np.array(positions, dtype=np.int64))
+    return Dataset(arrays=arrays, source_path=f"synthetic(seed={base})")
 
 
 def oracle_scorer(
@@ -203,8 +206,8 @@ def synthetic_lexicon(dataset: Dataset, fanout: int) -> SynonymLexicon:
     if fanout < 0:
         raise ValueError(f"fanout must be >= 0, got {fanout}")
     entries: dict[str, list[str]] = {}
-    for ex in dataset.examples:
-        for tok in ex.question.tokens:
+    for tokens in dataset.arrays.tokens:
+        for tok in tokens:
             if tok in entries or fanout == 0:
                 continue
             variants = [f"{tok}~{i}" for i in range(1, fanout + 1)]
@@ -240,8 +243,7 @@ def _robust_items(
     score: list[float] = []
     clean: list[bool] = []
     noisy_token: list[bool] = []
-    for ex in test.examples:
-        q = ex.question
+    for q in test.arrays.questions():
         noisy = inject_noise(q, lexicon, config.d, int(noise_rng.integers(2**63)))
         table = robust_scores(noisy, lexicon, spec, scorer)
         counts.append(len(table))

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from tokencover.core import (
     write_dataset,
 )
 
-from conftest import make_example, random_dataset
+from conftest import make_example, random_dataset, random_example
 
 
 class TestTypes:
@@ -80,6 +82,22 @@ class TestLoadWriteRoundTrip:
         assert loaded == ds
         assert loaded.examples[0].scores.values[0] == 0.1 + 0.2
         assert loaded.source_path == str(path)
+
+    def test_written_bytes(self, tmp_path):
+        ds = Dataset(
+            examples=(
+                make_example(["für", "日本"], [0.1 + 0.2, 1.0], [1, 0], qid="q0", answer="ja"),
+                make_example(["c"], [1 / 3], [0], qid="q1"),
+            )
+        )
+        path = tmp_path / "ds.jsonl"
+        write_dataset(ds, path)
+        assert path.read_text(encoding="utf-8") == (
+            '{"id": "q0", "tokens": ["für", "日本"], "scores": [0.30000000000000004, 1.0], '
+            '"explanation_indices": [0, 1], "answer": "ja"}\n'
+            '{"id": "q1", "tokens": ["c"], "scores": [0.3333333333333333], '
+            '"explanation_indices": [0]}\n'
+        )
 
     def test_double_round_trip_identical_bytes(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -187,6 +205,26 @@ class TestSplitDataset:
             ex.question.id for side in (cal, test) for ex in side.examples
         )
         assert combined == sorted(ex.question.id for ex in ds.examples)
+
+    def test_same_as_permuting_the_examples(self):
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            n = int(rng.integers(2, 30))
+            examples = tuple(
+                replace(random_example(rng, qid=f"q{i}"),
+                        answer=f"a{i}" if rng.random() < 0.5 else None)
+                for i in range(n)
+            )
+            ds = Dataset(examples=examples)
+            fraction, seed = float(rng.uniform(0.05, 0.95)), int(rng.integers(1000))
+            n_left = round(fraction * n)
+            if not 0 < n_left < n:
+                continue
+            order = list(range(n))
+            random.Random(seed).shuffle(order)
+            cal, test = split_dataset(ds, fraction, seed=seed)
+            assert cal.examples == tuple(ds.examples[i] for i in order[:n_left])
+            assert test.examples == tuple(ds.examples[i] for i in order[n_left:])
 
     def test_empty_side_rejected(self):
         ds = random_dataset(np.random.default_rng(10), 2)

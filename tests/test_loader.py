@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from tokencover.calibrate import RiskStep, critical_thresholds, empirical_risk
+from tokencover.cli import EXIT_INPUT, EXIT_OK, main
 from tokencover.core import (
     Dataset,
     DatasetError,
@@ -173,6 +174,44 @@ class TestClampScores:
         for values in (bulk.examples[0].scores.values, per_record[0].scores.values):
             assert values == (1.0, 0.0, 0.0, 1.0)
             assert math.copysign(1.0, values[2]) == 1.0
+
+
+class TestOverRangeIntegers:
+    """Integer scores no float can hold, and integer literals Python will not
+    read, through the CLI: a typed input error naming the line, never a crash."""
+
+    HUGE = "1" + "0" * 400
+
+    def calibrate(self, tmp_path, path, *extra):
+        out = tmp_path / "calib.json"
+        code = main(["calibrate", "--dataset", str(path), "--alpha", "0.3",
+                     "--out", str(out), *extra])
+        return code, out
+
+    def test_rejected_with_line_id_and_position(self, tmp_path, capsys):
+        line = rec(scores=[0.5, 0.5]).replace("0.5]", self.HUGE + "]")
+        code, _ = self.calibrate(tmp_path, write_lines(tmp_path, GOOD, line))
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: line 2 (id='b'): scores[1] is outside the range of a float\n")
+
+    def test_clamped_like_infinities(self, tmp_path):
+        line = rec(scores=[0.5, 0.5]).replace("[0.5, 0.5]", f"[{self.HUGE}, -{self.HUGE}]")
+        code, out = self.calibrate(tmp_path, write_lines(tmp_path, GOOD, line), "--clamp-scores")
+        assert code == EXIT_OK
+        reference = tmp_path / "ref"
+        reference.mkdir()
+        ref_code, ref_out = self.calibrate(
+            reference, write_lines(reference, GOOD, rec(scores=[float("inf"), float("-inf")])),
+            "--clamp-scores")
+        assert ref_code == EXIT_OK
+        assert out.read_bytes() == ref_out.read_bytes()
+
+    def test_over_digit_limit_names_the_line(self, tmp_path, capsys):
+        line = rec(scores=[0.5, 0.5]).replace("0.5]", "1" + "0" * 4300 + "]")
+        code, _ = self.calibrate(tmp_path, write_lines(tmp_path, GOOD, line))
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: line 2: invalid JSON: Exceeds the limit")
 
 
 def assert_arrays_equal(a: ScoredArrays, b: ScoredArrays) -> None:

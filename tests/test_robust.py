@@ -31,7 +31,6 @@ from tokencover.robust import (
     inject_noise,
     load_lexicon,
     plain_set_pairs,
-    robust_score,
     robust_scores,
 )
 from tokencover.scorer import OracleNoiseScorer, ScorerError, TableScorer
@@ -287,29 +286,6 @@ class TestRobustScores:
         oracle = OracleNoiseScorer(sigma=0.5, seed=1, truth_by_id={"q0": {0}})
         assert auto_ball_mode(oracle) == "coordinatewise"
         assert auto_ball_mode(TableScorer({("a",): (0.5,)})) == "exact"
-
-    def test_single_pair_lookup(self):
-        rng = np.random.default_rng(84)
-        question, lex, _, table = random_ball_instance(rng)
-        scorer = TableScorer(table)
-        full = robust_scores(question, lex, BallSpec(d=1), scorer)
-        for (j, cand), val in full.items():
-            assert robust_score(question, j, cand, lex, BallSpec(d=1), scorer) == val
-
-    def test_single_pair_position_out_of_range(self):
-        lex = group_lexicon(["a", "b"])
-        with pytest.raises(ValueError, match="position"):
-            robust_score(q(["a"]), 3, "a", lex, BallSpec(d=1), TableScorer({("a",): (0.5,)}))
-
-    def test_single_pair_non_synonym_candidate(self):
-        lex = group_lexicon(["a", "b"])
-        with pytest.raises(ValueError, match="not a synonym"):
-            robust_score(q(["a"]), 0, "zzz", lex, BallSpec(d=1), TableScorer({("a",): (0.5,)}))
-
-    def test_single_pair_unreachable_with_d_zero(self):
-        lex = group_lexicon(["a", "b"])
-        with pytest.raises(ValueError, match="unreachable"):
-            robust_score(q(["a"]), 0, "b", lex, BallSpec(d=0), TableScorer({("a",): (0.5,)}))
 
 
 class TestBuildRobustSet:

@@ -15,7 +15,7 @@ from tokencover.core import (
     TokenizedQuestion,
 )
 from tokencover.scorer import ConstantScorer, ScorerError, ScorerSpec, make_scorer
-from tokencover.sets import _set_stats, build_set, evaluate, predict, predict_batch
+from tokencover.sets import _score_batch, _set_stats, build_set, evaluate, predict
 
 from conftest import make_example, random_example
 
@@ -114,16 +114,20 @@ class TestPredict:
 
 
 class TestPredictBatch:
+    """The thread-pool scoring that `predict --workers` runs through."""
+
     def test_preserves_order_and_matches_serial(self):
         questions = [q([f"w{i}", f"v{i}"], qid=f"q{i}") for i in range(20)]
         scorer = make_scorer(ScorerSpec(kind="uniform_random", seed=9))
-        serial = predict_batch(questions, scorer, calib(0.6), workers=1)
-        threaded = predict_batch(questions, scorer, calib(0.6), workers=4)
+        serial = _score_batch(questions, scorer, calib(0.6), strict=False, workers=1)
+        threaded = _score_batch(questions, scorer, calib(0.6), strict=False, workers=4)
         assert serial == threaded
-        assert [s.question_id for s in serial] == [f"q{i}" for i in range(20)]
+        sets = [build_set(x, sc, 0.6) for x, sc in zip(questions, threaded)]
+        assert sets == [predict(x, scorer, calib(0.6)) for x in questions]
+        assert [s.question_id for s in sets] == [f"q{i}" for i in range(20)]
 
     def test_empty_input(self):
-        assert predict_batch([], ConstantScorer(0.5), calib(0.5)) == []
+        assert _score_batch([], ConstantScorer(0.5), calib(0.5), strict=False, workers=4) == []
 
 
 class TestEvaluate:

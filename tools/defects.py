@@ -67,6 +67,10 @@ DEFECTS = [
            "src/tokencover/robust.py",
            "return np.logical_and.reduceat(robust | ~clean_kept, offsets[:-1])",
            "return np.ones(offsets.size - 1, dtype=bool)"),
+    Defect("R", "the row selection of `split_dataset` keeps the truth mask in the parent's order",
+           "src/tokencover/core.py",
+           "scores=self.scores[flat], offsets=offsets, truth=self.truth[flat])",
+           "scores=self.scores[flat], offsets=offsets, truth=self.truth[:flat.size])"),
 ]
 
 
