@@ -326,7 +326,9 @@ def _add_common(p: argparse.ArgumentParser, *, scorer: bool = False) -> None:
                        help="disk cache directory for remote scores (or SCORER_CACHE_DIR)")
         p.add_argument("--strict", action="store_true",
                        help="error (not warn) on calibration/scorer identity mismatch")
-        p.add_argument("--workers", type=int, default=1, help="parallel scoring workers")
+        p.add_argument("--workers", type=int, default=1,
+                       help="concurrent requests to a remote scorer in predict; other "
+                            "scorers, and robust-predict, score serially")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -289,10 +289,15 @@ class RemoteScorer(_ScorerBase):
     """HTTP scorer: POST {"prompt", "tokens"} and expect {"scores": [...]}.
 
     Reads the API key from the SCORER_API_KEY environment variable when set.
-    Failed requests retry with exponential backoff; responses are validated
-    for length and range, and validated scores are memoized in memory and in
-    an optional on-disk cache. In-flight requests are bounded so batch
-    prediction cannot stampede the endpoint.
+    Requests go through the standard library's HTTP client, which honours
+    ``http_proxy``, ``https_proxy`` and ``no_proxy`` (the proxies are read
+    when the scorer is built) and verifies TLS against the system CA store.
+    Connection errors, timeouts, 5xx and 429 retry with exponential backoff;
+    any other HTTP error status, and a 200 whose body is not JSON or has no
+    ``scores``, fail at once. Responses are validated for length and range,
+    and validated scores are memoized in memory and in an optional on-disk
+    cache. In-flight requests are bounded so batch prediction cannot
+    stampede the endpoint.
     """
 
     context_free = False
@@ -306,9 +311,16 @@ class RemoteScorer(_ScorerBase):
         max_inflight: int = 8,
         backoff: float = 0.25,
     ):
+        # imported here: urllib.request costs about 40 ms at start-up, which
+        # commands without a remote scorer need not pay
+        from urllib.parse import urlsplit
+        from urllib.request import build_opener
+
         super().__init__()
         if not endpoint:
             raise ScorerError("remote scorer requires a non-empty endpoint")
+        if urlsplit(endpoint).scheme not in ("http", "https"):
+            raise ScorerError(f"remote scorer endpoint {endpoint!r} is not an http(s) URL")
         if retries < 0:
             raise ScorerError(f"retries must be >= 0, got {retries}")
         self.endpoint = endpoint
@@ -320,29 +332,48 @@ class RemoteScorer(_ScorerBase):
         self._memo: dict[ScoreCacheKey, tuple[float, ...]] = {}
         self._gate = threading.Semaphore(max(1, int(max_inflight)))
         self._lock = threading.Lock()
+        self._opener = build_opener()
 
     def _request(self, question: TokenizedQuestion) -> list[Any]:
-        import requests
+        from http.client import HTTPException
+        from urllib.error import HTTPError
+        from urllib.request import Request
 
-        headers = {}
+        headers = {"Content-Type": "application/json"}
         api_key = os.environ.get("SCORER_API_KEY")
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
-        body = {"prompt": question.prompt, "tokens": list(question.tokens)}
+        # A server may key on the exact bytes (bench/stub.py picks the requests
+        # it answers 503 by their sha256), so their format is fixed.
+        body = json.dumps(
+            {"prompt": question.prompt, "tokens": list(question.tokens)}, allow_nan=False
+        ).encode("utf-8")
         last_error: Exception | None = None
         for attempt in range(self.retries + 1):
             if attempt > 0:
                 time.sleep(self.backoff * (2 ** (attempt - 1)))
+            request = Request(self.endpoint, data=body, headers=headers, method="POST")
             try:
-                with self._gate:
-                    resp = requests.post(
-                        self.endpoint, json=body, headers=headers, timeout=self.timeout
-                    )
-                resp.raise_for_status()
-                payload = resp.json()
-            except Exception as e:  # noqa: BLE001 - every transport failure retries
+                with self._gate, self._opener.open(request, timeout=self.timeout) as resp:
+                    raw = resp.read()
+            except HTTPError as e:
+                e.close()
+                if e.code < 500 and e.code != 429:
+                    raise ScorerError(
+                        f"remote scorer {self.endpoint!r} refused the request: "
+                        f"HTTP {e.code} {e.reason}"
+                    ) from None
                 last_error = e
                 continue
+            except (OSError, HTTPException) as e:  # connection errors and timeouts
+                last_error = e
+                continue
+            try:
+                payload = json.loads(raw)
+            except ValueError:
+                raise ScorerError(
+                    f"remote scorer {self.endpoint!r} returned a body that is not JSON"
+                ) from None
             if not isinstance(payload, dict) or "scores" not in payload:
                 raise ScorerError(
                     f"remote scorer {self.endpoint!r} returned a payload without 'scores'"
@@ -352,7 +383,9 @@ class RemoteScorer(_ScorerBase):
             f"remote scorer {self.endpoint!r} failed after {self.retries + 1} attempts: {last_error}"
         )
 
-    def score_question(self, question: TokenizedQuestion) -> ImportanceScores:
+    def lookup(self, question: TokenizedQuestion) -> ImportanceScores | None:
+        """The cached scores of ``question``, from the memo and then the disk
+        cache, or None on a miss. A hit counts in ``cache_hits``."""
         key = cache_key(question.prompt, question.tokens, self.identity)
         with self._lock:
             if key in self._memo:
@@ -366,17 +399,27 @@ class RemoteScorer(_ScorerBase):
                     self._memo[key] = cached
                     self.cache_hits += 1
                 return ImportanceScores(cached)
+        return None
+
+    def fetch(self, question: TokenizedQuestion) -> ImportanceScores:
+        """Score ``question`` over the network, validate the scores and cache
+        them. Counts in ``calls``."""
         raw = self._request(question)
         if not isinstance(raw, list):
             raise ScorerError(f"scorer {self.identity!r} returned non-list scores")
         _validate_score_values(raw, len(question.tokens), self.identity)
         values = tuple(float(v) for v in raw)
+        key = cache_key(question.prompt, question.tokens, self.identity)
         with self._lock:
             self.calls += 1
             self._memo[key] = values
         if self.disk_cache is not None:
             self.disk_cache.put(key, values)
         return ImportanceScores(values)
+
+    def score_question(self, question: TokenizedQuestion) -> ImportanceScores:
+        scores = self.lookup(question)
+        return self.fetch(question) if scores is None else scores
 
 
 def truth_map(dataset: Dataset) -> dict[str, frozenset[int]]:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .calibrate import CalibrationResult, loss
 from .core import GroundTruthExplanation, ImportanceScores, TokenizedQuestion
-from .scorer import ScorerError, ScorerSpec, _ScorerBase, make_scorer
+from .scorer import RemoteScorer, ScorerError, ScorerSpec, _ScorerBase, make_scorer
 
 
 @dataclass(frozen=True)
@@ -150,13 +150,28 @@ def _score_batch(
     strict: bool,
     workers: int,
 ) -> list[ImportanceScores]:
-    """Each question's scores in order, on a thread pool only when ``workers > 1``."""
+    """Each question's scores, in input order.
+
+    Only a remote scorer with ``workers > 1`` uses threads, since only its
+    network waits overlap: cache hits are answered in the calling thread,
+    and each distinct missed question is fetched once on a pool of
+    ``workers`` threads. A question repeated among the misses is then a memo
+    hit, as in a serial pass, so ``calls`` and ``cache_hits`` match one.
+    """
     s = _resolve_scorer(scorer)
     _check_scorer_identity(s, calibration, strict)
-    if workers <= 1 or len(questions) <= 1:
+    if workers <= 1 or not isinstance(s, RemoteScorer):
         return [s.score_question(q) for q in questions]
+    scored = [s.lookup(q) for q in questions]
+    misses: dict[tuple[str, tuple[str, ...]], int] = {}
+    for i, (q, sc) in enumerate(zip(questions, scored)):
+        if sc is None:
+            misses.setdefault((q.prompt, q.tokens), i)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(s.score_question, questions))
+        fetched = pool.map(s.fetch, [questions[i] for i in misses.values()])
+        for i, sc in zip(misses.values(), fetched):
+            scored[i] = sc
+    return [s.score_question(q) if sc is None else sc for q, sc in zip(questions, scored)]
 
 
 def evaluate(

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
 
-from tokencover.core import TokenizedQuestion
+from tokencover.calibrate import CalibrationResult
+from tokencover.core import ImportanceScores, TokenizedQuestion
 from tokencover.scorer import (
     ConstantScorer,
     OracleNoiseScorer,
@@ -24,10 +27,15 @@ from tokencover.scorer import (
     oracle_noise_score,
     truth_map,
 )
+from tokencover.sets import _score_batch
 
 
 def q(tokens, qid="q0", prompt="p"):
     return TokenizedQuestion(id=qid, tokens=tuple(tokens), prompt=prompt)
+
+
+UNSTAMPED = CalibrationResult(lambda_hat=0.5, alpha=0.2, n=10, adjusted_bound=0.12,
+                              feasible=True, mode="exact")
 
 
 class TestCacheKey:
@@ -171,21 +179,32 @@ class TestScoreCacheDisk:
 
 
 class _Handler(BaseHTTPRequestHandler):
+    """Answers ``state["response"]``, or ``state["raw"]`` bytes, or without
+    either the scores int(token) / 100; the first ``fail_first`` requests get
+    ``fail_status`` (500) instead. With ``hang`` set, it waits that many
+    seconds and closes the connection without an answer."""
+
     behavior: dict = {}
 
     def do_POST(self):
         state = self.behavior
         state["requests"] = state.get("requests", 0) + 1
-        state.setdefault("bodies", []).append(
-            json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        )
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        state.setdefault("bodies", []).append(body)
         state.setdefault("auth", []).append(self.headers.get("Authorization"))
+        if "hang" in state:
+            time.sleep(state["hang"])
+            return
         fail_first = state.get("fail_first", 0)
         if state["requests"] <= fail_first:
-            self.send_response(500)
+            self.send_response(state.get("fail_status", 500))
             self.end_headers()
             return
-        payload = json.dumps(state["response"]).encode()
+        if "raw" in state:
+            payload = state["raw"]
+        else:
+            response = state.get("response") or {"scores": [int(t) / 100 for t in body["tokens"]]}
+            payload = json.dumps(response).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -200,10 +219,12 @@ class _Handler(BaseHTTPRequestHandler):
 def http_scorer_server():
     handler = type("Handler", (_Handler,), {"behavior": {}})
     server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/score", handler.behavior
     server.shutdown()
+    server.server_close()
     thread.join(timeout=5)
 
 
@@ -238,6 +259,48 @@ class TestRemoteScorer:
         scorer = RemoteScorer(url, retries=1, backoff=0.01)
         with pytest.raises(ScorerError, match="after 2 attempts"):
             scorer.score_question(q(["a"]))
+
+    @pytest.mark.parametrize("status", [429, 503])
+    def test_retries_rate_limits_and_server_errors(self, http_scorer_server, status):
+        url, state = http_scorer_server
+        state["response"] = {"scores": [0.5]}
+        state.update(fail_first=1, fail_status=status)
+        assert RemoteScorer(url, retries=3, backoff=0.01).score_question(q(["a"])).values == (0.5,)
+        assert state["requests"] == 2
+
+    @pytest.mark.parametrize("status", [400, 401, 404])
+    def test_other_client_errors_fail_fast(self, http_scorer_server, status):
+        url, state = http_scorer_server
+        state.update(fail_first=99, fail_status=status)
+        with pytest.raises(ScorerError, match=f"HTTP {status}"):
+            RemoteScorer(url, retries=3, backoff=0.01).score_question(q(["a"]))
+        assert state["requests"] == 1
+
+    def test_non_json_body_fails_fast(self, http_scorer_server):
+        url, state = http_scorer_server
+        state["raw"] = b"<html>not json</html>"
+        with pytest.raises(ScorerError, match="not JSON"):
+            RemoteScorer(url, retries=3, backoff=0.01).score_question(q(["a"]))
+        assert state["requests"] == 1
+
+    def test_timeout_retries(self, http_scorer_server):
+        url, state = http_scorer_server
+        state["hang"] = 0.2
+        with pytest.raises(ScorerError, match="after 2 attempts"):
+            RemoteScorer(url, timeout=0.05, retries=1, backoff=0.01).score_question(q(["a"]))
+        assert state["requests"] == 2
+
+    def test_connection_refused_retries(self):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        scorer = RemoteScorer(f"http://127.0.0.1:{port}/score", retries=1, backoff=0.01)
+        with pytest.raises(ScorerError, match="after 2 attempts"):
+            scorer.score_question(q(["a"]))
+
+    def test_non_http_endpoint_rejected(self):
+        with pytest.raises(ScorerError, match="not an http"):
+            RemoteScorer("file:///etc/hostname")
 
     def test_length_mismatch_rejected(self, http_scorer_server):
         url, state = http_scorer_server
@@ -279,6 +342,28 @@ class TestRemoteScorer:
         scorer.score_question(q(["a"]))
         assert state["requests"] == 1
         assert scorer.cache_hits == 1
+
+    def test_threaded_batch_fetches_only_misses_in_input_order(self, http_scorer_server):
+        url, state = http_scorer_server
+        questions = [q([str(i), str(50 + i)], qid=f"q{i}") for i in range(10)]
+        scorer = RemoteScorer(url, retries=0)
+        for x in questions[::3]:
+            scorer.score_question(x)
+        state["bodies"].clear()
+        got = _score_batch(questions, scorer, UNSTAMPED, strict=False, workers=2)
+        assert got == [ImportanceScores((i / 100, (50 + i) / 100)) for i in range(10)]
+        misses = [list(x.tokens) for i, x in enumerate(questions) if i % 3]
+        assert sorted(b["tokens"] for b in state["bodies"]) == misses
+        assert (scorer.calls, scorer.cache_hits) == (10, 4)
+
+    def test_threaded_batch_fetches_repeated_miss_once(self, http_scorer_server):
+        url, state = http_scorer_server
+        questions = [q(["7"], qid=f"q{i}") for i in range(3)]
+        scorer = RemoteScorer(url, retries=0)
+        got = _score_batch(questions, scorer, UNSTAMPED, strict=False, workers=2)
+        assert got == [ImportanceScores((0.07,))] * 3
+        assert state["requests"] == 1
+        assert (scorer.calls, scorer.cache_hits) == (1, 2)
 
 
 class TestMakeScorer:

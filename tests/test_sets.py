@@ -114,7 +114,8 @@ class TestPredict:
 
 
 class TestPredictBatch:
-    """The thread-pool scoring that `predict --workers` runs through."""
+    """The batch scoring that `predict --workers` runs through; a local scorer
+    scores serially whatever the worker count."""
 
     def test_preserves_order_and_matches_serial(self):
         questions = [q([f"w{i}", f"v{i}"], qid=f"q{i}") for i in range(20)]

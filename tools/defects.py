@@ -71,6 +71,14 @@ DEFECTS = [
            "src/tokencover/core.py",
            "scores=self.scores[flat], offsets=offsets, truth=self.truth[flat])",
            "scores=self.scores[flat], offsets=offsets, truth=self.truth[:flat.size])"),
+    Defect("M", "threaded remote scoring appends the fetched misses after the hits",
+           "src/tokencover/sets.py",
+           "for i, sc in zip(misses.values(), fetched):\n            scored[i] = sc",
+           "scored = [sc for sc in scored if sc is not None] + list(fetched)"),
+    Defect("T", "the remote scorer retries every HTTP error status, 4xx included",
+           "src/tokencover/scorer.py",
+           "if e.code < 500 and e.code != 429:",
+           "if e.code < 500 and e.code != 429 and False:"),
 ]
 
 
