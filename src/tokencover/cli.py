@@ -9,6 +9,7 @@ All file outputs are written atomically via a temp file and rename.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import statistics
@@ -198,11 +199,19 @@ def _simulate_runs(args: argparse.Namespace) -> tuple[SyntheticConfig, list[dict
             doc = json.load(fh)
         if not isinstance(doc, dict) or "runs" not in doc:
             raise ValueError(f"{args.config}: expected an object with 'config' and 'runs'")
-        config = SyntheticConfig(**doc.get("config", {}))
+        settings = doc.get("config", {})
+        if not isinstance(settings, dict):
+            raise ValueError(f"{args.config}: 'config' must be an object")
+        unknown = sorted(set(settings) - {f.name for f in dataclasses.fields(SyntheticConfig)})
+        if unknown:
+            raise ValueError(f"{args.config}: unknown 'config' key(s) {unknown}")
+        config = SyntheticConfig(**settings)
         runs = doc["runs"]
         if not isinstance(runs, list) or not runs:
             raise ValueError(f"{args.config}: 'runs' must be a non-empty list")
-        for r in runs:
+        for i, r in enumerate(runs):
+            if not isinstance(r, dict):
+                raise ValueError(f"{args.config}: run {i} must be an object, got {r!r}")
             if "alpha" not in r:
                 raise ValueError(f"{args.config}: every run needs an 'alpha'")
             a = float(r["alpha"])

@@ -26,7 +26,7 @@ import random
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -235,12 +235,16 @@ def enumerate_ball(
     return _iter_ball(question, lexicon, spec.d)
 
 
-def _candidates(lexicon: SynonymLexicon, token: str, d: int) -> list[str]:
-    # With d = 0 no substitution can realize any candidate besides the
-    # observed token, so the candidate set collapses to it.
+def _candidate_pairs(tokens: Sequence[str], lexicon: SynonymLexicon,
+                     d: int) -> tuple[list[int], list[str]]:
+    """The (position, candidate) pairs of a coordinatewise robust table, as
+    parallel lists: at each position, every synonym of its token in sorted
+    order. With d = 0 no substitution can realize any candidate besides the
+    observed token, so each position has only its own token."""
     if d == 0:
-        return [token]
-    return sorted(lexicon.synonyms(token))
+        return list(range(len(tokens))), list(tokens)
+    syns = [sorted(lexicon.synonyms(tok)) for tok in tokens]
+    return [j for j, s in enumerate(syns) for _ in s], [c for s in syns for c in s]
 
 
 def robust_scores(
@@ -263,11 +267,9 @@ def robust_scores(
             raise ScorerError(
                 f"coordinatewise mode requires a context-free scorer; {s.identity!r} is not"
             )
-        out: dict[tuple[int, str], float] = {}
-        for j, tok in enumerate(question.tokens):
-            for cand in _candidates(lexicon, tok, spec.d):
-                out[(j, cand)] = s.score_token(question, j, cand)
-        return out
+        positions, candidates = _candidate_pairs(question.tokens, lexicon, spec.d)
+        scores = s.score_tokens(question, positions, candidates)
+        return dict(zip(zip(positions, candidates), scores))
     best: dict[tuple[int, str], float] = {}
     for member in enumerate_ball(question, lexicon, spec):
         values = s.score_question(member).values
@@ -330,15 +332,16 @@ def inject_noise(
     if d < 0:
         raise ValueError(f"d must be >= 0, got {d}")
     rng = random.Random(seed)
-    alts = {j: _alternatives(lexicon, tok) for j, tok in enumerate(question.tokens)}
-    perturbable = [j for j, a in alts.items() if a]
+    tokens = question.tokens
+    # synonym sets include their token, so a token has alternatives iff its set has two members
+    perturbable = [j for j, tok in enumerate(tokens) if len(lexicon.synonyms(tok)) > 1]
     n_perturb = min(d, len(perturbable))
     if n_perturb == 0:
         return question
     chosen = sorted(rng.sample(perturbable, n_perturb))
-    new_tokens = list(question.tokens)
+    new_tokens = list(tokens)
     for j in chosen:
-        new_tokens[j] = rng.choice(alts[j])
+        new_tokens[j] = rng.choice(_alternatives(lexicon, tokens[j]))
     return TokenizedQuestion(id=question.id, tokens=tuple(new_tokens), prompt=question.prompt)
 
 

@@ -5,22 +5,25 @@ Built-in kinds: a noisy oracle around the ground truth, a seeded uniform
 scorer, a constant scorer, a lookup table, and a remote HTTP scorer with a
 persistent disk cache. Stochastic kinds derive all randomness from their seed
 and the content being scored, never from global state, so repeated calls are
-reproducible.
+reproducible. All oracle noise comes from one batched rule, ``_oracle_scores``.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
+import numbers
 import os
 import tempfile
 import threading
 import time
 import warnings
 from dataclasses import dataclass, field
+from hashlib import sha256
 from pathlib import Path
 from statistics import NormalDist
 from typing import Any, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .core import Dataset, ImportanceScores, TokenizedQuestion
 
@@ -29,6 +32,7 @@ ScoreCacheKey = str
 SCORER_KINDS = ("oracle_noise", "uniform_random", "constant", "remote")
 
 _NORMAL = NormalDist()
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
 
 class ScorerError(ValueError):
@@ -44,23 +48,38 @@ def cache_key(prompt: str, tokens: Sequence[str], scorer_identity: str) -> Score
     payload = json.dumps(
         [prompt, list(tokens), scorer_identity], ensure_ascii=False, separators=(",", ":")
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _unit_uniform(material: str) -> float:
-    """Deterministic uniform draw in (0, 1) from a string."""
-    h = hashlib.sha256(material.encode("utf-8")).digest()
-    return (int.from_bytes(h[:8], "big") + 0.5) / 2.0**64
+def _unit_uniforms(digests: bytes) -> np.ndarray:
+    """(h + 0.5) / 2**64 for each 32-byte sha256 digest, h its first 8 bytes
+    read big-endian; in (0, 1), but 1.0 for h >= 2**64 - 1024."""
+    return (np.frombuffer(digests, dtype=">u8")[::4] + 0.5) / 2.0**64
 
 
-def _oracle_token(in_truth: bool, sigma: float, seed: int, j: int, token: str) -> float:
-    """The noisy-oracle score of ``token`` at position j: 1 if j is a truth
-    position, else 0, plus ``sigma`` times a standard normal drawn from
-    (seed, j, token), clamped into [0, 1]."""
-    v = 1.0 if in_truth else 0.0
-    if sigma > 0:
-        v += sigma * _NORMAL.inv_cdf(_unit_uniform(f"{seed}|{j}|{token}"))
-    return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
+def _normal_deviates(digests: bytes) -> list[float]:
+    """One standard normal per digest: ``inv_cdf`` of its uniform draw, capped
+    at the largest double below 1 so that the draw is never 1.0."""
+    u = _unit_uniforms(digests)
+    np.minimum(u, _BELOW_ONE, out=u)
+    return list(map(_NORMAL.inv_cdf, u.tolist()))
+
+
+def _oracle_scores(in_truth: Iterable[bool], sigma: float, seed: int,
+                   positions: Iterable[int], tokens: Iterable[str]) -> list[float]:
+    """The noisy-oracle score of each (position j, token) pair, the package's
+    one oracle-noise rule: 1 if j is a truth position, else 0, plus ``sigma``
+    times a standard normal drawn from the sha256 of "seed|j|token", clamped
+    into [0, 1]. The pairs are scored in one batch."""
+    if not sigma > 0:
+        return [1.0 if m else 0.0 for m in in_truth]
+    digests = b"".join([sha256(f"{seed}|{j}|{tok}".encode()).digest()
+                        for j, tok in zip(positions, tokens)])
+    scores = []
+    for m, z in zip(in_truth, _normal_deviates(digests)):
+        v = (1.0 if m else 0.0) + sigma * z
+        scores.append(0.0 if v < 0.0 else 1.0 if v > 1.0 else v)
+    return scores
 
 
 @dataclass(frozen=True)
@@ -92,11 +111,14 @@ class _ScorerBase:
         raise NotImplementedError
 
     def score_token(self, question: TokenizedQuestion, position: int, token: str) -> float:
-        """Score one (position, token) pair independent of the other tokens.
+        """``score_tokens`` of the one pair (position, token)."""
+        return self.score_tokens(question, [position], [token])[0]
 
-        Only defined for context-free scorers, where the score of a token
-        does not depend on the rest of the question.
-        """
+    def score_tokens(self, question: TokenizedQuestion, positions: Sequence[int],
+                     tokens: Sequence[str]) -> list[float]:
+        """Score (position, token) pairs, each independent of the other tokens,
+        as one call per pair. Only defined for context-free scorers, where the
+        score of a token does not depend on the rest of the question."""
         raise ScorerError(f"scorer {self.identity!r} is not context-free")
 
 
@@ -115,14 +137,14 @@ def oracle_noise_score(
     """
     if sigma < 0:
         raise ScorerError(f"sigma must be >= 0, got {sigma}")
-    truth = frozenset(int(i) for i in truth_indices)
+    truth = frozenset(map(int, truth_indices))
     k = len(tokens)
     for j in truth:
         if not 0 <= j < k:
             raise ScorerError(f"ground-truth index {j} outside [0, {k})")
-    return ImportanceScores(
-        tuple([_oracle_token(j in truth, sigma, seed, j, tok) for j, tok in enumerate(tokens)])
-    )
+    return ImportanceScores(tuple(_oracle_scores(
+        map(truth.__contains__, range(k)), sigma, seed, range(k), tokens
+    )))
 
 
 class OracleNoiseScorer(_ScorerBase):
@@ -156,10 +178,12 @@ class OracleNoiseScorer(_ScorerBase):
         self.calls += 1
         return oracle_noise_score(self._truth(question.id), question.tokens, self.sigma, self.seed)
 
-    def score_token(self, question: TokenizedQuestion, position: int, token: str) -> float:
-        self.calls += 1
-        in_truth = position in self._truth(question.id)
-        return _oracle_token(in_truth, self.sigma, self.seed, position, token)
+    def score_tokens(self, question: TokenizedQuestion, positions: Sequence[int],
+                     tokens: Sequence[str]) -> list[float]:
+        self.calls += len(positions)
+        truth = self._truth(question.id)
+        return _oracle_scores(map(truth.__contains__, positions), self.sigma, self.seed,
+                              positions, tokens)
 
 
 class ConstantScorer(_ScorerBase):
@@ -178,9 +202,10 @@ class ConstantScorer(_ScorerBase):
         self.calls += 1
         return ImportanceScores((self.value,) * len(question.tokens))
 
-    def score_token(self, question: TokenizedQuestion, position: int, token: str) -> float:
-        self.calls += 1
-        return self.value
+    def score_tokens(self, question: TokenizedQuestion, positions: Sequence[int],
+                     tokens: Sequence[str]) -> list[float]:
+        self.calls += len(positions)
+        return [self.value] * len(positions)
 
 
 class UniformRandomScorer(_ScorerBase):
@@ -201,8 +226,9 @@ class UniformRandomScorer(_ScorerBase):
     def score_question(self, question: TokenizedQuestion) -> ImportanceScores:
         self.calls += 1
         key = cache_key(question.prompt, question.tokens, self.identity)
-        values = tuple(_unit_uniform(f"{self.seed}|{key}|{j}") for j in range(len(question.tokens)))
-        return ImportanceScores(values)
+        digests = b"".join([sha256(f"{self.seed}|{key}|{j}".encode()).digest()
+                            for j in range(len(question.tokens))])
+        return ImportanceScores(tuple(_unit_uniforms(digests).tolist()))
 
 
 class TableScorer(_ScorerBase):
@@ -436,6 +462,12 @@ _ALLOWED_PARAMS = {
 }
 
 
+_NUMBER = (numbers.Real, "a number")
+_INTEGER = (numbers.Integral, "an integer")
+_PARAM_TYPES = {"sigma": _NUMBER, "value": _NUMBER, "timeout": _NUMBER, "backoff": _NUMBER,
+                "retries": _INTEGER, "max_inflight": _INTEGER, "endpoint": (str, "a string")}
+
+
 def make_scorer(
     spec: ScorerSpec,
     truth_by_id: Mapping[str, Iterable[int]] | None = None,
@@ -453,6 +485,12 @@ def make_scorer(
     unknown = set(params) - _ALLOWED_PARAMS[spec.kind]
     if unknown:
         raise ScorerError(f"unknown parameter(s) {sorted(unknown)} for scorer kind {spec.kind!r}")
+    for key, value in params.items():
+        if key not in _PARAM_TYPES:
+            continue
+        kind, what = _PARAM_TYPES[key]
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ScorerError(f"scorer parameter {key!r} must be {what}, got {value!r}")
     if spec.kind == "oracle_noise":
         truth = params.get("truth_by_id", truth_by_id)
         if truth is None:

@@ -13,22 +13,24 @@ reads the test split's materialized scores, which are exactly what the
 oracle would give on re-scoring, and thresholds them once per alpha with the
 set rule of ``sets`` (``_set_stats``, the flat form of ``build_set`` and
 ``evaluate``); no test question is re-scored and no set object is built. A
-robust trial scores each noisy question's robust table once with
-``robust.robust_scores``, in the ball mode ``robust.auto_ball_mode`` picks
-for the oracle, and flattens all tables into parallel item arrays. Per
-alpha it applies the set comparison ``sets._kept`` once, and the flat pair
-rule ``robust._pair_stats`` (the array form of ``evaluate_pairs``) to all
-kept items for the robust loss, set size and item count, and to the kept
-noisy-token items for the comparator, the plain set on the noisy question;
-``robust._superset_holds`` checks that the robust set keeps each pair of the
-plain set on the clean question. With ``workers`` above 1, trials run in
-spawned processes.
+robust trial lists each noisy question's coordinatewise table with
+``robust._candidate_pairs``, the oracle being context-free; a clean-token
+item takes its materialized score, and all other items are drawn in one call
+of the oracle-noise rule ``scorer._oracle_scores``. Per alpha it applies
+``sets._kept`` once, and the flat pair rule ``robust._pair_stats`` (the
+array form of ``evaluate_pairs``) to all kept items for the robust loss, set
+size and item count, and to the kept noisy-token items for the comparator,
+the plain set on the noisy question; ``robust._superset_holds`` checks that
+the robust set keeps each pair of the plain set on the clean question. With
+``workers`` above 1, trials run in spawned processes.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Sequence
 
 import numpy as np
@@ -36,15 +38,13 @@ import numpy as np
 from .calibrate import MODE_EXACT, MODE_GRID, RiskStep, calibrate_exact, calibrate_grid
 from .core import Dataset, ScoredArrays, split_dataset
 from .robust import (
-    BallSpec,
     SynonymLexicon,
+    _candidate_pairs,
     _pair_stats,
     _superset_holds,
-    auto_ball_mode,
     inject_noise,
-    robust_scores,
 )
-from .scorer import OracleNoiseScorer, _oracle_token, truth_map
+from .scorer import OracleNoiseScorer, _oracle_scores, truth_map
 from .sets import _kept, _set_stats
 
 
@@ -62,21 +62,24 @@ class SyntheticConfig:
     d: int = 1
 
     def __post_init__(self) -> None:
-        if self.n_calibration < 1 or self.n_test < 1:
-            raise ValueError("n_calibration and n_test must be >= 1")
-        kmin, kmax = self.k_range
-        if not 1 <= kmin <= kmax:
+        k = self.k_range
+        if not isinstance(k, (tuple, list)) or len(k) != 2:
+            raise ValueError(f"k_range must be a pair of integers, got {k!r}")
+        minimums = [("n_calibration", self.n_calibration, 1), ("n_test", self.n_test, 1),
+                    ("k_range[0]", k[0], 1), ("k_range[1]", k[1], 1), ("seed", self.seed, 0),
+                    ("synonym_fanout", self.synonym_fanout, 0), ("d", self.d, 0)]
+        for name, value, low in minimums:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if k[0] > k[1]:
             raise ValueError(f"k_range must satisfy 1 <= min <= max, got {self.k_range}")
+        for name, value in (("truth_fraction", self.truth_fraction), ("sigma", self.sigma)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not 0.0 < self.truth_fraction <= 1.0:
             raise ValueError(f"truth_fraction must be in (0, 1], got {self.truth_fraction}")
         if self.sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.synonym_fanout < 0:
-            raise ValueError(f"synonym_fanout must be >= 0, got {self.synonym_fanout}")
-        if self.d < 0:
-            raise ValueError(f"d must be >= 0, got {self.d}")
 
 
 @dataclass(frozen=True)
@@ -169,7 +172,7 @@ def generate_synthetic_dataset(config: SyntheticConfig, seed: int | None = None)
     lengths: list[int] = []
     counts: list[int] = []
     positions: list[int] = []
-    scores: list[float] = []
+    in_truth: list[bool] = []
     for _ in range(n):
         k = int(rng.integers(kmin, kmax + 1))
         toks = tuple(f"w{v}" for v in rng.integers(0, 1_000_000_000, size=k).tolist())
@@ -181,8 +184,9 @@ def generate_synthetic_dataset(config: SyntheticConfig, seed: int | None = None)
         lengths.append(k)
         counts.append(len(truth))
         positions.extend(truth)
-        scores.extend([_oracle_token(m, config.sigma, s_seed, j, tok)
-                       for j, (m, tok) in enumerate(zip(mask.tolist(), toks))])
+        in_truth.extend(mask.tolist())
+    scores = _oracle_scores(in_truth, config.sigma, s_seed,
+                            chain.from_iterable(map(range, lengths)), chain.from_iterable(tokens))
     arrays = ScoredArrays._pack([f"q{i}" for i in range(n)], tokens, [None] * n,
                                 np.array(scores, dtype=np.float64), lengths, counts,
                                 np.array(positions, dtype=np.int64))
@@ -223,41 +227,44 @@ def _split_counts(config: SyntheticConfig, dataset: Dataset, seed: int) -> tuple
 
 
 def _robust_items(
-    config: SyntheticConfig, test: Dataset, scorer: OracleNoiseScorer, trial_seed: int
+    config: SyntheticConfig, test: Dataset, trial_seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Perturb every test question and flatten its robust table into items.
 
     Returns parallel arrays with one entry per (position, candidate) item of
-    every noisy question's table: the question's index in ``test``, the
-    position, the robust score, whether the candidate is the clean token
-    there, and whether it is the noisy token. The oracle is context-free, so
-    each noisy-token item carries the score the noisy question gets at that
-    position. Only test questions are perturbed and robustly scored, so the
+    every noisy question's coordinatewise table: the question's index in
+    ``test``, the position, the robust score (the oracle's score of the
+    candidate there), whether the candidate is the clean token there, and
+    whether it is the noisy token. Only test questions are perturbed, so the
     lexicon needs only their tokens.
     """
+    arrays = test.arrays
     lexicon = synthetic_lexicon(test, config.synonym_fanout)
-    spec = BallSpec(d=config.d, mode=auto_ball_mode(scorer))
     noise_rng = np.random.default_rng(np.random.SeedSequence(entropy=[trial_seed, 3]))
     counts: list[int] = []
     position: list[int] = []
-    score: list[float] = []
+    candidate: list[str] = []
     clean: list[bool] = []
     noisy_token: list[bool] = []
-    for q in test.arrays.questions():
+    for q in arrays.questions():
         noisy = inject_noise(q, lexicon, config.d, int(noise_rng.integers(2**63)))
-        table = robust_scores(noisy, lexicon, spec, scorer)
-        counts.append(len(table))
-        score.extend(table.values())
-        position.extend([j for j, _ in table])
-        clean.extend([tok == q.tokens[j] for j, tok in table])
-        noisy_token.extend([tok == noisy.tokens[j] for j, tok in table])
-    return (
-        np.repeat(np.arange(len(counts)), counts),
-        np.array(position, dtype=np.int64),
-        np.array(score, dtype=np.float64),
-        np.array(clean, dtype=bool),
-        np.array(noisy_token, dtype=bool),
+        js, cands = _candidate_pairs(noisy.tokens, lexicon, config.d)
+        counts.append(len(js))
+        position += js
+        candidate += cands
+        clean += [c == q.tokens[j] for j, c in zip(js, cands)]
+        noisy_token += [c == noisy.tokens[j] for j, c in zip(js, cands)]
+    question = np.repeat(np.arange(len(counts)), counts)
+    pos = np.array(position, dtype=np.int64)
+    is_clean = np.array(clean, dtype=bool)
+    flat = arrays.offsets[question] + pos
+    score = arrays.scores[flat]
+    drawn = np.flatnonzero(~is_clean)
+    score[drawn] = _oracle_scores(
+        arrays.truth[flat[drawn]].tolist(), config.sigma, _scorer_seed(trial_seed),
+        pos[drawn].tolist(), [candidate[i] for i in drawn.tolist()],
     )
+    return question, pos, score, is_clean, np.array(noisy_token, dtype=bool)
 
 
 def _run_trial(
@@ -269,8 +276,6 @@ def _run_trial(
 ) -> list[TrialResult]:
     dataset = generate_synthetic_dataset(config, seed=trial_seed)
     cal, test = _split_counts(config, dataset, trial_seed)
-    # only test questions are ever scored, so the oracle needs only their truth
-    scorer = oracle_scorer(config, test, seed=trial_seed)
 
     if mode == MODE_EXACT:
         calibrate = calibrate_exact
@@ -279,7 +284,7 @@ def _run_trial(
     else:
         raise ValueError(f"mode must be 'exact' or 'grid', got {mode!r}")
     step = RiskStep(cal.arrays)
-    results = [calibrate(step, a, scorer_id=scorer.identity) for a in alphas]
+    results = [calibrate(step, a) for a in alphas]
 
     arrays = test.arrays
     if not robust:
@@ -301,7 +306,7 @@ def _run_trial(
             )
         return out
 
-    question, position, score, clean, noisy = _robust_items(config, test, scorer, trial_seed)
+    question, position, score, clean, noisy = _robust_items(config, test, trial_seed)
     starts = arrays.offsets[:-1]
     in_truth = arrays.truth[starts[question] + position]
     truth_sizes = np.add.reduceat(arrays.truth, starts, dtype=np.int64)

@@ -1,0 +1,62 @@
+"""Malformed inputs: each exits with a documented code and names the problem.
+
+One row per input: (argv, files, exit code, substring of the message on
+stderr). ``files`` maps a file name to its text; the files are written to a
+fresh directory that ``{tmp}`` in argv stands for, and the row runs through
+``cli.main``. No row may exit 1, which is kept for internal faults.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from tokencover.cli import EXIT_INPUT, main
+
+DATASET = "".join(json.dumps(rec) + "\n" for rec in [
+    {"id": "q0", "tokens": ["a", "b"], "scores": [0.9, 0.1], "explanation_indices": [0]},
+    {"id": "q1", "tokens": ["c", "d"], "scores": [0.2, 0.8], "explanation_indices": [1]},
+])
+CALIBRATION = json.dumps({"lambda_hat": 0.5, "alpha": 0.2, "n": 2, "adjusted_bound": 0.1,
+                          "feasible": True, "mode": "exact"})
+SIMULATE = ["simulate", "--config", "{tmp}/sim.json", "--trials", "1"]
+PREDICT = ["predict", "--dataset", "{tmp}/data.jsonl", "--calibration", "{tmp}/calib.json",
+           "--out", "{tmp}/out.jsonl"]
+PREDICT_FILES = {"data.jsonl": DATASET, "calib.json": CALIBRATION}
+
+
+def sim_config(config=None, runs=({"alpha": 0.2},)):
+    doc = {"runs": list(runs)}
+    if config is not None:
+        doc["config"] = config
+    return {"sim.json": json.dumps(doc)}
+
+
+ROWS = [
+    pytest.param(SIMULATE, sim_config({"n_cal": 5}), EXIT_INPUT,
+                 "unknown 'config' key(s) ['n_cal']", id="config-unknown-key"),
+    pytest.param(SIMULATE, sim_config({"k_range": "ab"}), EXIT_INPUT,
+                 "k_range must be a pair of integers", id="config-k-range-string"),
+    pytest.param(SIMULATE, sim_config(runs=[5]), EXIT_INPUT,
+                 "run 0 must be an object", id="run-not-an-object"),
+    pytest.param([*PREDICT, "--scorer", "constant:value=abc"], PREDICT_FILES, EXIT_INPUT,
+                 "scorer parameter 'value' must be a number", id="scorer-value-string"),
+    pytest.param(SIMULATE, sim_config({"n_test": 1.5}), EXIT_INPUT,
+                 "n_test must be an integer", id="config-float-count"),
+    pytest.param(SIMULATE, sim_config({"sigma": True}), EXIT_INPUT,
+                 "sigma must be a number", id="config-bool-sigma"),
+    pytest.param(SIMULATE, sim_config([8, 16]), EXIT_INPUT,
+                 "'config' must be an object", id="config-not-an-object"),
+    pytest.param([*PREDICT, "--scorer", "remote:retries=1.5,endpoint=http://127.0.0.1:9"],
+                 PREDICT_FILES, EXIT_INPUT, "scorer parameter 'retries' must be an integer",
+                 id="scorer-retries-float"),
+]
+
+
+@pytest.mark.parametrize("argv, files, code, message", ROWS)
+def test_malformed_input(tmp_path, capsys, argv, files, code, message):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == code
+    assert message in capsys.readouterr().err

@@ -123,6 +123,11 @@ class TestLexicon:
         assert lex.synonyms("b") == frozenset({"a", "b"})
         assert lex.synonyms("a") == frozenset({"a", "b"})
 
+    def test_frozenset_with_non_str_member_is_converted(self, recwarn):
+        lex = SynonymLexicon(entries={"a": frozenset({"a", 1}), "1": frozenset({"1", "a"})})
+        assert len(recwarn) == 0
+        assert lex.synonyms("a") == frozenset({"a", "1"})
+
     def test_many_repairs_are_summarized(self):
         entries = {f"t{i}": [f"s{i}"] for i in range(6)}
         with pytest.warns(UserWarning, match=r"\(\+\d+ more\)"):

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -22,6 +25,9 @@ from tokencover.scorer import (
     ScorerSpec,
     TableScorer,
     UniformRandomScorer,
+    _normal_deviates,
+    _oracle_scores,
+    _unit_uniforms,
     cache_key,
     make_scorer,
     oracle_noise_score,
@@ -95,6 +101,18 @@ class TestOracleNoise:
         for j, tok in enumerate(question.tokens):
             assert scorer.score_token(question, j, tok) == full[j]
 
+    @pytest.mark.parametrize("make", [
+        lambda: OracleNoiseScorer(sigma=0.4, seed=3, truth_by_id={"q0": {0, 2}}),
+        lambda: ConstantScorer(0.25),
+    ])
+    def test_score_tokens_is_score_token_per_pair(self, make):
+        question = q(["a", "b", "c"])
+        positions, tokens = [0, 0, 1, 2, 2], ["a", "a~1", "b", "c", "zz"]
+        batch, single = make(), make()
+        got = batch.score_tokens(question, positions, tokens)
+        assert got == [single.score_token(question, j, t) for j, t in zip(positions, tokens)]
+        assert batch.calls == single.calls == len(positions)
+
     def test_unknown_question_id_raises(self):
         scorer = OracleNoiseScorer(sigma=0.1, seed=0, truth_by_id={"q0": {0}})
         with pytest.raises(ScorerError, match="no ground truth"):
@@ -107,6 +125,57 @@ class TestOracleNoise:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ScorerError, match="sigma"):
             oracle_noise_score({0}, ("a",), sigma=-0.1, seed=0)
+
+
+def reference_oracle_token(in_truth, sigma, seed, j, token):
+    """The per-token oracle formula, one sha256 and one inv_cdf per token,
+    that the batched kernel must reproduce bit for bit."""
+    v = 1.0 if in_truth else 0.0
+    if sigma > 0:
+        h = hashlib.sha256(f"{seed}|{j}|{token}".encode("utf-8")).digest()
+        v += sigma * NormalDist().inv_cdf((int.from_bytes(h[:8], "big") + 0.5) / 2.0**64)
+    return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
+
+
+class TestOracleKernel:
+    @pytest.mark.parametrize("sigma", [0.0, 0.3, 5.0])
+    def test_bit_equal_to_per_token_formula(self, sigma):
+        rng = np.random.default_rng(int(sigma * 10) + 11)
+        alphabet = list("abwxyz0189~|-") + ["é", "ß", "日", "本", "🙂", "\u0301", " "]
+        n = 3000
+        tokens = ["".join(rng.choice(alphabet, size=int(rng.integers(0, 9)))) for _ in range(n)]
+        positions = rng.integers(0, 101, size=n).tolist()
+        in_truth = (rng.random(n) < 0.5).tolist()
+        seed = int(rng.integers(0, 2**63))
+        got = np.array(_oracle_scores(in_truth, sigma, seed, positions, tokens))
+        want = np.array([reference_oracle_token(m, sigma, seed, j, tok)
+                         for m, j, tok in zip(in_truth, positions, tokens)])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        if sigma == 5.0:
+            truth = np.array(in_truth)
+            # clamped at both ends: truth positions down to 0, others up to 1
+            assert (got[truth] == 0.0).any() and (got[~truth] == 1.0).any()
+
+    def test_empty_batch(self):
+        assert _oracle_scores([], 0.3, 1, [], []) == []
+
+    def test_unpacking_matches_integer_formula_at_rounding_edges(self):
+        prefixes = [0, 1, 2**53 + 1, 2**63, 2**63 + 1024, 2**63 + 1025, 2**63 + 3072,
+                    2**64 - 2049, 2**64 - 2048, 2**64 - 1025, 2**64 - 1024, 2**64 - 1]
+        digests = b"".join(p.to_bytes(8, "big") + bytes(range(24)) for p in prefixes)
+        assert _unit_uniforms(digests).tolist() == [(p + 0.5) / 2.0**64 for p in prefixes]
+
+    def test_all_ones_digest_gives_a_finite_deviate(self):
+        # the uncapped draw rounds to exactly 1.0, where inv_cdf raises
+        assert _unit_uniforms(b"\xff" * 32).tolist() == [1.0]
+        (z,) = _normal_deviates(b"\xff" * 32)
+        assert math.isfinite(z) and z > 8.0
+
+    def test_cap_keeps_every_draw_below_one(self):
+        prefixes = [0, 2**63, 2**64 - 2049, 2**64 - 1025]
+        digests = b"".join(p.to_bytes(8, "big") + bytes(24) for p in prefixes)
+        assert _normal_deviates(digests) == [NormalDist().inv_cdf((p + 0.5) / 2.0**64)
+                                             for p in prefixes]
 
 
 class TestUniformRandom:

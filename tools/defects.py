@@ -79,6 +79,14 @@ DEFECTS = [
            "src/tokencover/scorer.py",
            "if e.code < 500 and e.code != 429:",
            "if e.code < 500 and e.code != 429 and False:"),
+    Defect("L", "the oracle-noise kernel reads each digest as little-endian",
+           "src/tokencover/scorer.py",
+           'np.frombuffer(digests, dtype=">u8")',
+           'np.frombuffer(digests, dtype="<u8")'),
+    Defect("P", "a robust trial gives every candidate at a position the clean token's score",
+           "src/tokencover/sim.py",
+           "drawn = np.flatnonzero(~is_clean)",
+           "drawn = np.flatnonzero(np.zeros_like(is_clean))"),
 ]
 
 
