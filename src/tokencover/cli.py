@@ -193,6 +193,10 @@ def cmd_robust_predict(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_RUN_TYPES = {"alpha": ((int, float), "a number"), "trials": ((int,), "an integer"),
+              "robust": ((bool,), "true or false")}
+
+
 def _simulate_runs(args: argparse.Namespace) -> tuple[SyntheticConfig, list[dict[str, Any]]]:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -214,6 +218,9 @@ def _simulate_runs(args: argparse.Namespace) -> tuple[SyntheticConfig, list[dict
                 raise ValueError(f"{args.config}: run {i} must be an object, got {r!r}")
             if "alpha" not in r:
                 raise ValueError(f"{args.config}: every run needs an 'alpha'")
+            for key, (types, what) in _RUN_TYPES.items():
+                if key in r and type(r[key]) not in types:  # exact, so true is no number
+                    raise ValueError(f"{args.config}: run {i} '{key}' must be {what}, got {r[key]!r}")
             a = float(r["alpha"])
             if not 0.0 < a < 1.0:
                 raise ValueError(f"{args.config}: alpha must be in (0, 1), got {a}")

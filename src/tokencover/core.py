@@ -8,15 +8,16 @@ A ``Dataset`` holds one form of its records, ``ScoredArrays``: ids, token
 tuples and answers, plus flat scores, offsets and a truth mask. Loading,
 synthetic generation, splitting, writing and the ground-truth lookup all
 work on the arrays; per-record ``CalibrationExample``s are a view built from
-them on request. ``load_dataset`` parses straight into the arrays with bulk
-checks, and falls back to building and validating one record at a time only
-to report the first error.
+them on request. ``load_dataset`` reads each line once, checks it and
+appends it to the arrays' flat lists; only a record that fails a check is
+built as a ``CalibrationExample``, to name its error.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import random
 from dataclasses import dataclass
 from itertools import chain
@@ -261,44 +262,42 @@ def validate_example(example: CalibrationExample) -> list[str]:
     return problems
 
 
-_REQUIRED_FIELDS = ("id", "tokens", "scores", "explanation_indices")
+_STR, _NUMBER, _INT = frozenset({str}), frozenset({int, float}), frozenset({int})
 
 
-def _record_to_example(rec: dict[str, Any], lineno: int, clamp_scores: bool) -> CalibrationExample:
-    for name in _REQUIRED_FIELDS:
+def _record_to_example(rec: Any, lineno: int, clamp_scores: bool) -> CalibrationExample:
+    """One parsed line as an example, or the first schema error it breaks.
+    Types are exact, so a JSON true or false is no number."""
+    if type(rec) is not dict:
+        raise DatasetError(f"line {lineno}: record must be a JSON object")
+    for name in ("id", "tokens", "scores", "explanation_indices"):
         if name not in rec:
             raise DatasetError(f"line {lineno}: missing field {name!r}")
     rid = rec["id"]
-    if not isinstance(rid, str):
+    if type(rid) is not str:
         raise DatasetError(f"line {lineno}: field 'id' must be a string")
     tokens = rec["tokens"]
-    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+    if type(tokens) is not list or not _STR.issuperset(map(type, tokens)):
         raise DatasetError(f"line {lineno} (id={rid!r}): field 'tokens' must be a list of strings")
     scores = rec["scores"]
-    if not isinstance(scores, list) or not all(
-        isinstance(s, (int, float)) and not isinstance(s, bool) for s in scores
-    ):
+    if type(scores) is not list or not _NUMBER.issuperset(map(type, scores)):
         raise DatasetError(f"line {lineno} (id={rid!r}): field 'scores' must be a list of numbers")
+    if clamp_scores:
+        scores = _clamped(scores)
     for j, s in enumerate(scores):
         try:
             float(s)
         except OverflowError:  # an integer beyond the float range
-            if not clamp_scores:
-                raise DatasetError(
-                    f"line {lineno} (id={rid!r}): scores[{j}] is outside the range of a float"
-                ) from None
-            scores[j] = float("inf") if s > 0 else float("-inf")
-    if clamp_scores:  # NaN stays, to be rejected as not finite
-        scores = [s if s != s else min(1.0, max(0.0, float(s))) for s in scores]
+            raise DatasetError(
+                f"line {lineno} (id={rid!r}): scores[{j}] is outside the range of a float"
+            ) from None
     indices = rec["explanation_indices"]
-    if not isinstance(indices, list) or not all(
-        isinstance(i, int) and not isinstance(i, bool) for i in indices
-    ):
+    if type(indices) is not list or not _INT.issuperset(map(type, indices)):
         raise DatasetError(
             f"line {lineno} (id={rid!r}): field 'explanation_indices' must be a list of integers"
         )
     answer = rec.get("answer")
-    if answer is not None and not isinstance(answer, str):
+    if answer is not None and type(answer) is not str:
         raise DatasetError(f"line {lineno} (id={rid!r}): field 'answer' must be a string or null")
     return CalibrationExample(
         question=TokenizedQuestion(id=rid, tokens=tuple(tokens)),
@@ -306,6 +305,12 @@ def _record_to_example(rec: dict[str, Any], lineno: int, clamp_scores: bool) -> 
         explanation=GroundTruthExplanation(frozenset(indices)),
         answer=answer,
     )
+
+
+def _clamped(scores: list) -> list:
+    """Numbers clamped into [0, 1], an integer beyond the float range and an
+    infinity alike; NaN stays, to be rejected as not finite."""
+    return [s if s != s else min(1.0, max(0.0, s)) for s in scores]
 
 
 def load_dataset(path: str | Path, clamp_scores: bool = False) -> Dataset:
@@ -318,98 +323,63 @@ def load_dataset(path: str | Path, clamp_scores: bool = False) -> Dataset:
     Errors name the offending line, record and field; a repeated id is
     rejected with the lines of both records.
 
-    The records go straight into ``ScoredArrays``, checked in bulk. Should
-    any line fail to parse or any check fail, the file is read again record
-    by record from line 1, so that the first error by line order is raised
-    with the message ``validate_example`` and the schema checks give it.
+    Each line is read once, checked and appended to the flat lists of
+    ``ScoredArrays``. Only a record that fails a check is built as an
+    example, to raise the message of the schema checks and ``validate_example``.
     """
     path = Path(path)
+    first_line: dict[str, int] = {}  # its keys are the ids, in file order
+    tokens, answers, scores, counts, positions = [], [], [], [], []
     with path.open("r", encoding="utf-8") as fh:
-        arrays = _bulk_arrays(fh, clamp_scores)
-        if arrays is None:
-            fh.seek(0)
-            return Dataset(examples=_load_records(path, fh, clamp_scores), source_path=str(path))
+        for lineno, line in enumerate(fh, start=1):
+            if line.isspace():
+                continue
+            try:
+                rec = json.loads(line)
+            except ValueError as e:  # JSONDecodeError, or an integer over the digit limit
+                raise DatasetError(f"line {lineno}: invalid JSON: {e}") from None
+            rid, toks, vals, idx, answer = _checked_row(rec, lineno, clamp_scores)
+            if rid in first_line:
+                raise DatasetError(
+                    f"line {lineno}: duplicate id {rid!r}, first used on line {first_line[rid]}"
+                )
+            first_line[rid] = lineno
+            tokens.append(tuple(toks))
+            answers.append(answer)
+            scores.extend(vals)
+            counts.append(len(idx))
+            positions.extend(idx)
+    if not first_line:
+        raise DatasetError(f"{path}: dataset contains no records")
+    arrays = ScoredArrays._pack(list(first_line), tokens, answers,
+                                np.array(scores, dtype=np.float64), list(map(len, tokens)), counts,
+                                np.array(positions, dtype=np.int64))
     return Dataset(arrays=arrays, source_path=str(path))
 
 
-def _bulk_arrays(lines: Iterable[str], clamp_scores: bool) -> ScoredArrays | None:
-    """The records as arrays, or None if any line might be invalid."""
+def _checked_row(rec: Any, lineno: int, clamp_scores: bool) -> tuple:
+    """A parsed line's (id, tokens, scores, indices, answer), its scores
+    clamped if asked. A line that fails any check of ``_record_to_example``
+    or ``validate_example`` raises the error they give it."""
     try:
-        recs = [json.loads(line) for line in lines if not line.isspace()]
-    except ValueError:  # invalid JSON, or an integer over Python's digit limit
-        return None
-    if set(map(type, recs)) != {dict}:
-        return None
-    try:
-        ids = [r["id"] for r in recs]
-        tokens = [r["tokens"] for r in recs]
-        scores = [r["scores"] for r in recs]
-        indices = [r["explanation_indices"] for r in recs]
-    except KeyError:
-        return None
-    answers = [r.get("answer") for r in recs]
-    if (set(map(type, ids)) != {str} or not all(ids) or len(set(ids)) != len(ids)
-            or not set(map(type, answers)) <= {str, type(None)}
-            or {*map(type, tokens), *map(type, scores), *map(type, indices)} != {list}):
-        return None
-    lengths = list(map(len, tokens))
-    counts = list(map(len, indices))
-    flat_tokens = list(chain.from_iterable(tokens))
-    flat_scores = list(chain.from_iterable(scores))
-    flat_indices = list(chain.from_iterable(indices))
-    # type() is exact, so a JSON true or false is no number here
-    if (lengths != list(map(len, scores)) or 0 in lengths or 0 in counts
-            or set(map(type, flat_tokens)) != {str} or not all(flat_tokens)
-            or not set(map(type, flat_scores)) <= {int, float}
-            or set(map(type, flat_indices)) != {int}):
-        return None
-    try:
-        values = np.array(flat_scores, dtype=np.float64)
-        positions = np.array(flat_indices, dtype=np.int64)
-    except OverflowError:
-        return None
-    if clamp_scores and not np.isnan(values).any():
-        # + 0.0 turns -0.0 into 0.0, as max(0.0, -0.0) does per record
-        values = np.clip(values, 0.0, 1.0) + 0.0
-    if not (np.isfinite(values).all() and ((values >= 0.0) & (values <= 1.0)).all()):
-        return None
-    try:
-        return ScoredArrays._pack(ids, map(tuple, tokens), answers, values, lengths, counts,
-                                  positions)
-    except ValueError:  # an index outside its record
-        return None
-
-
-def _load_records(
-    path: Path, lines: Iterable[str], clamp_scores: bool
-) -> tuple[CalibrationExample, ...]:
-    """Build and validate one record at a time; raises at the first bad line."""
-    examples: list[CalibrationExample] = []
-    first_line: dict[str, int] = {}
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except ValueError as e:  # JSONDecodeError, or an integer over the digit limit
-            raise DatasetError(f"line {lineno}: invalid JSON: {e}") from None
-        if not isinstance(rec, dict):
-            raise DatasetError(f"line {lineno}: record must be a JSON object")
-        example = _record_to_example(rec, lineno, clamp_scores)
-        problems = validate_example(example)
-        if problems:
-            detail = "; ".join(problems)
-            raise DatasetError(f"line {lineno} (id={example.question.id!r}): {detail}")
-        rid = example.question.id
-        if rid in first_line:
-            raise DatasetError(
-                f"line {lineno}: duplicate id {rid!r}, first used on line {first_line[rid]}"
-            )
-        first_line[rid] = lineno
-        examples.append(example)
-    if not examples:
-        raise DatasetError(f"{path}: dataset contains no records")
-    return tuple(examples)
+        rid, toks, vals, idx = rec["id"], rec["tokens"], rec["scores"], rec["explanation_indices"]
+        answer = rec.get("answer")
+    except (KeyError, TypeError):  # a missing field, or a line that is no JSON object
+        rid = None  # fails the first check below
+    # an empty token list fails the index bounds
+    if (type(rid) is str and rid and type(toks) is list and type(vals) is list
+            and type(idx) is list and (answer is None or type(answer) is str)
+            and _STR.issuperset(map(type, toks)) and all(toks) and len(vals) == len(toks)
+            and _NUMBER.issuperset(map(type, vals))
+            and _INT == set(map(type, idx)) and 0 <= min(idx) and max(idx) < len(toks)):
+        if clamp_scores:
+            vals = _clamped(vals)
+        # min and max pass over a NaN that is not first; the sum does not
+        if 0.0 <= min(vals) and max(vals) <= 1.0 and not math.isnan(sum(vals)):
+            return rid, toks, vals, idx, answer
+    example = _record_to_example(rec, lineno, clamp_scores)
+    raise DatasetError(f"line {lineno} (id={example.question.id!r}): "
+                       + "; ".join(validate_example(example)))
 
 
 def write_dataset(dataset: Dataset, path: str | Path) -> None:

@@ -135,8 +135,8 @@ def oracle_noise_score(
     (seed, j, token at j), so re-scoring the same content reproduces the same
     values and the score of a token never depends on the other positions.
     """
-    if sigma < 0:
-        raise ScorerError(f"sigma must be >= 0, got {sigma}")
+    if not 0.0 <= sigma < float("inf"):  # NaN fails both
+        raise ScorerError(f"sigma must be finite and >= 0, got {sigma}")
     truth = frozenset(map(int, truth_indices))
     k = len(tokens)
     for j in truth:
@@ -159,8 +159,8 @@ class OracleNoiseScorer(_ScorerBase):
 
     def __init__(self, sigma: float, seed: int, truth_by_id: Mapping[str, Iterable[int]]):
         super().__init__()
-        if sigma < 0:
-            raise ScorerError(f"sigma must be >= 0, got {sigma}")
+        if not 0.0 <= sigma < float("inf"):  # NaN fails both
+            raise ScorerError(f"sigma must be finite and >= 0, got {sigma}")
         self.sigma = float(sigma)
         self.seed = int(seed)
         self.truth_by_id = {qid: frozenset(int(i) for i in idx) for qid, idx in truth_by_id.items()}

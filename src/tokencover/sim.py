@@ -78,8 +78,8 @@ class SyntheticConfig:
                 raise ValueError(f"{name} must be a number, got {value!r}")
         if not 0.0 < self.truth_fraction <= 1.0:
             raise ValueError(f"truth_fraction must be in (0, 1], got {self.truth_fraction}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0.0 <= self.sigma < float("inf"):  # NaN fails both
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,16 @@ ROWS = [
     pytest.param([*PREDICT, "--scorer", "remote:retries=1.5,endpoint=http://127.0.0.1:9"],
                  PREDICT_FILES, EXIT_INPUT, "scorer parameter 'retries' must be an integer",
                  id="scorer-retries-float"),
+    pytest.param(["simulate", "--alpha", "0.2", "--trials", "1", "--sigma", "nan"], {},
+                 EXIT_INPUT, "sigma must be finite and >= 0, got nan", id="simulate-sigma-nan"),
+    pytest.param([*PREDICT, "--scorer", "oracle_noise:sigma=nan"], PREDICT_FILES, EXIT_INPUT,
+                 "sigma must be finite and >= 0, got nan", id="scorer-sigma-nan"),
+    pytest.param(SIMULATE, sim_config(runs=[{"alpha": [0.2]}]), EXIT_INPUT,
+                 "run 0 'alpha' must be a number, got [0.2]", id="run-alpha-list"),
+    pytest.param(SIMULATE, sim_config(runs=[{"alpha": 0.2}, {"alpha": 0.2, "trials": [1]}]),
+                 EXIT_INPUT, "run 1 'trials' must be an integer, got [1]", id="run-trials-list"),
+    pytest.param(SIMULATE, sim_config(runs=[{"alpha": 0.2, "robust": "false"}]), EXIT_INPUT,
+                 "run 0 'robust' must be true or false, got 'false'", id="run-robust-string"),
 ]
 
 

@@ -1,10 +1,13 @@
-"""Columnar ingest: the bulk loader, its per-record fallback, and the arrays
-that calibration reads."""
+"""Columnar ingest: the one-pass loader, its error messages against a
+per-line reference build, and the arrays that calibration reads."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -12,11 +15,12 @@ import pytest
 from tokencover.calibrate import RiskStep, critical_thresholds, empirical_risk
 from tokencover.cli import EXIT_INPUT, EXIT_OK, main
 from tokencover.core import (
-    Dataset,
+    CalibrationExample,
     DatasetError,
     ScoredArrays,
-    _load_records,
+    _record_to_example,
     load_dataset,
+    validate_example,
     write_dataset,
 )
 
@@ -79,6 +83,31 @@ def write_lines(tmp_path, *lines: str):
     return path
 
 
+def per_line(path, clamp_scores: bool = False) -> tuple[CalibrationExample, ...]:
+    """The reference build of a file of JSON objects with distinct ids: each
+    line made with ``_record_to_example`` and checked with ``validate_example``,
+    raising the first bad line's error."""
+    examples = []
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        if not line.strip():
+            continue
+        example = _record_to_example(json.loads(line), lineno, clamp_scores)
+        problems = validate_example(example)
+        if problems:
+            raise DatasetError(f"line {lineno} (id={example.question.id!r}): "
+                               + "; ".join(problems))
+        examples.append(example)
+    return tuple(examples)
+
+
+def outcome(load, path, clamp_scores: bool):
+    """The examples ``load`` builds from ``path``, or its error message."""
+    try:
+        return tuple(load(path, clamp_scores))
+    except DatasetError as e:
+        return str(e)
+
+
 class TestMessagesMatchPerRecordLoader:
     @pytest.mark.parametrize("line, message", PARITY)
     def test_exact_message(self, tmp_path, line, message):
@@ -106,6 +135,55 @@ class TestMessagesMatchPerRecordLoader:
         assert [ex.question.id for ex in ds.examples] == ["a", "b"]
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+class TestReadOnce:
+    def test_bad_record_from_a_pipe_names_its_line(self, tmp_path):
+        fifo = tmp_path / "data.fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "w", encoding="utf-8") as fh:
+                fh.write(GOOD + "\n" + rec(scores=[0.5, 1.5]) + "\n")
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            with pytest.raises(DatasetError) as info:
+                load_dataset(fifo)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert str(info.value) == "line 2 (id='b'): scores[1]=1.5 outside [0, 1]"
+
+
+# Field values for the loader's checks: valid ones, and ones that each break
+# one check of _record_to_example or validate_example.
+VARIANTS = {
+    "id": ["b", "", 3, None, True, DROP],
+    "tokens": [["x", "y"], [], "xy", ["x"], ["x", ""], ["x", 1], ["x", "y", "z"]],
+    "scores": [[0.25, 0.75], [], [0.5], [True, 0.5], ["0.5", 0.5], None, [1, 0], [-0.0, 1],
+               [float("nan"), 0.5], [float("inf"), 0.5], [float("-inf"), 0], [2, 0.5],
+               [-1, 0.5], [10**400, 0.5], [0.5, 1.0000001], DROP],
+    "explanation_indices": [[0], [], [0.0], [False], [2], [-1], [1, 1], [10**30], [0, 1], "0"],
+    "answer": [DROP, None, "x", 5, []],
+}
+
+
+class TestAgainstPerLineReference:
+    def test_every_pair_of_field_variants(self, tmp_path):
+        """Each record differing from a valid one in up to two fields loads to
+        the reference's examples, or fails with the reference's message."""
+        variants = [(field, v) for field, values in VARIANTS.items() for v in values]
+        for (f1, v1), (f2, v2) in itertools.combinations(variants, 2):
+            if f1 == f2:
+                continue
+            path = write_lines(tmp_path, GOOD, rec(**{f1: v1, f2: v2}))
+            for clamp in (False, True):
+                expected = outcome(per_line, path, clamp)
+                got = outcome(lambda p, c: load_dataset(p, c).examples, path, clamp)
+                assert got == expected, (f1, v1, f2, v2, clamp)
+
+
 class TestBulkPath:
     def test_repeated_index_counts_once(self, tmp_path):
         ds = load_dataset(write_lines(tmp_path, rec(scores=[0.3, 0.9], explanation_indices=[0, 0])))
@@ -131,10 +209,9 @@ class TestBulkPath:
                 records.append(json.dumps(r))
             path = write_lines(tmp_path, *records)
             bulk = load_dataset(path)
-            with path.open(encoding="utf-8") as fh:
-                reference = Dataset(examples=_load_records(path, fh, False))
-            assert bulk == reference
-            assert_arrays_equal(bulk.arrays, ScoredArrays.from_examples(reference.examples))
+            reference = per_line(path)
+            assert bulk.examples == reference
+            assert_arrays_equal(bulk.arrays, ScoredArrays.from_examples(reference))
 
     def test_round_trip_through_arrays(self, tmp_path):
         ds = random_dataset(np.random.default_rng(6), 25)
@@ -169,8 +246,7 @@ class TestClampScores:
         path = write_lines(tmp_path, rec(tokens=["a", "b", "c", "d"],
                                          scores=[float("inf"), float("-inf"), -0.0, 7]))
         bulk = load_dataset(path, clamp_scores=True)
-        with path.open(encoding="utf-8") as fh:
-            per_record = _load_records(path, fh, True)
+        per_record = per_line(path, clamp_scores=True)
         for values in (bulk.examples[0].scores.values, per_record[0].scores.values):
             assert values == (1.0, 0.0, 0.0, 1.0)
             assert math.copysign(1.0, values[2]) == 1.0

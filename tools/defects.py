@@ -87,6 +87,22 @@ DEFECTS = [
            "src/tokencover/sim.py",
            "drawn = np.flatnonzero(~is_clean)",
            "drawn = np.flatnonzero(np.zeros_like(is_clean))"),
+    Defect("D", "the one-pass loader skips the duplicate-id check",
+           "src/tokencover/core.py",
+           "if rid in first_line:",
+           "if rid in ():"),
+    Defect("U", "the loader's record check accepts a score above 1",
+           "src/tokencover/core.py",
+           "max(vals) <= 1.0",
+           "max(vals) <= 2.0"),
+    Defect("F", "the loader's record check misses a NaN that is not the first score",
+           "src/tokencover/core.py",
+           " and not math.isnan(sum(vals))",
+           ""),
+    Defect("N", "the loader's record check takes a JSON true or false as a score",
+           "src/tokencover/core.py",
+           "frozenset({int, float})",
+           "frozenset({int, float, bool})"),
 ]
 
 
