@@ -12,11 +12,9 @@ from .calibrate import (
     adjusted_bound,
     calibrate_exact,
     calibrate_grid,
-    critical_thresholds,
     empirical_risk,
     loss,
     risk_curve,
-    uniform_grid,
 )
 from .core import (
     CalibrationExample,
@@ -38,7 +36,6 @@ from .robust import (
     SynonymLexicon,
     ball_size,
     build_robust_set,
-    enumerate_ball,
     evaluate_robust,
     inject_noise,
     load_lexicon,
@@ -47,9 +44,7 @@ from .scorer import (
     ScoreCache,
     ScorerError,
     ScorerSpec,
-    cache_key,
     make_scorer,
-    oracle_noise_score,
     truth_map,
 )
 from .sets import (
@@ -62,10 +57,8 @@ from .sets import (
 from .sim import (
     CoverageReport,
     SyntheticConfig,
-    TrialResult,
     generate_synthetic_dataset,
     run_coverage_experiment,
-    run_trial,
     summarize,
     synthetic_lexicon,
 )
@@ -92,18 +85,14 @@ __all__ = [
     "SynonymLexicon",
     "SyntheticConfig",
     "TokenizedQuestion",
-    "TrialResult",
     "UncertaintySet",
     "adjusted_bound",
     "ball_size",
     "build_robust_set",
     "build_set",
-    "cache_key",
     "calibrate_exact",
     "calibrate_grid",
-    "critical_thresholds",
     "empirical_risk",
-    "enumerate_ball",
     "evaluate",
     "evaluate_robust",
     "generate_synthetic_dataset",
@@ -112,16 +101,13 @@ __all__ = [
     "load_lexicon",
     "loss",
     "make_scorer",
-    "oracle_noise_score",
     "predict",
     "risk_curve",
     "run_coverage_experiment",
-    "run_trial",
     "split_dataset",
     "summarize",
     "synthetic_lexicon",
     "truth_map",
-    "uniform_grid",
     "validate_example",
     "write_dataset",
 ]

@@ -28,7 +28,7 @@ curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
@@ -98,16 +98,7 @@ class CalibrationResult:
     scorer_id: str | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "lambda_hat": self.lambda_hat,
-            "alpha": self.alpha,
-            "n": self.n,
-            "adjusted_bound": self.adjusted_bound,
-            "feasible": self.feasible,
-            "mode": self.mode,
-            "grid_size": self.grid_size,
-            "scorer_id": self.scorer_id,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, rec: dict[str, Any]) -> "CalibrationResult":

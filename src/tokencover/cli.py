@@ -194,7 +194,7 @@ def cmd_robust_predict(args: argparse.Namespace) -> int:
 
 
 _RUN_TYPES = {"alpha": ((int, float), "a number"), "trials": ((int,), "an integer"),
-              "robust": ((bool,), "true or false")}
+              "mode": ((str,), "a string"), "robust": ((bool,), "true or false")}
 
 
 def _simulate_runs(args: argparse.Namespace) -> tuple[SyntheticConfig, list[dict[str, Any]]]:
@@ -246,10 +246,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # Runs sharing (trials, mode, robust) reuse each trial's dataset and
     # scoring across their alphas; only the threshold selection differs.
     groups: dict[tuple[int, str, bool], list[float]] = {}
-    for r in runs:
-        key = (int(r.get("trials", args.trials)), str(r.get("mode", "exact")),
-               bool(r.get("robust", False)))
-        groups.setdefault(key, []).append(float(r["alpha"]))
+    for r in runs:  # types checked by _simulate_runs
+        key = (r.get("trials", args.trials), r.get("mode", "exact"), r.get("robust", False))
+        groups.setdefault(key, []).append(r["alpha"])
     reports: list[CoverageReport] = []
     for (trials, mode, robust), alphas in groups.items():
         out = run_coverage_experiment(
@@ -421,6 +420,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (DatasetError, ScorerError, BallBudgetError, FileNotFoundError,
             IsADirectoryError, PermissionError, json.JSONDecodeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError:
+        print(f"error: {args.command} ran out of memory; its input is too large for this machine",
+              file=sys.stderr)
         return EXIT_INPUT
     except Exception as e:  # pragma: no cover - defensive
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)

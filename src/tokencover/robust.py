@@ -24,7 +24,7 @@ import itertools
 import json
 import random
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -355,14 +355,7 @@ class RobustEvaluation:
     covered: int
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "question_id": self.question_id,
-            "loss": self.loss,
-            "n_items": self.n_items,
-            "n_positions": self.n_positions,
-            "truth_size": self.truth_size,
-            "covered": self.covered,
-        }
+        return asdict(self)
 
 
 def _pair_stats(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -51,13 +51,7 @@ class EvaluationReport:
     covered: int
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "question_id": self.question_id,
-            "loss": self.loss,
-            "set_size": self.set_size,
-            "truth_size": self.truth_size,
-            "covered": self.covered,
-        }
+        return asdict(self)
 
 
 def _kept(scores, lam: float):

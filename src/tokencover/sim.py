@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
 from typing import Any, Sequence
 
@@ -86,9 +86,6 @@ class SyntheticConfig:
 class TrialResult:
     """Summary of one calibrate-predict-evaluate trial at one alpha."""
 
-    alpha: float
-    mode: str
-    robust: bool
     lambda_hat: float
     feasible: bool
     mean_loss: float
@@ -126,22 +123,8 @@ class CoverageReport:
                 raise ValueError(f"per-trial loss {v!r} outside [0, 1]")
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "alpha": self.alpha,
-            "mode": self.mode,
-            "robust": self.robust,
-            "trials": self.trials,
-            "mean_loss": self.mean_loss,
-            "se": self.se,
-            "mean_set_size": self.mean_set_size,
-            "mean_lambda": self.mean_lambda,
-            "feasibility_rate": self.feasibility_rate,
-            "per_trial_losses": list(self.per_trial_losses),
-            "comparator_mean_loss": self.comparator_mean_loss,
-            "comparator_mean_set_size": self.comparator_mean_set_size,
-            "superset_rate": self.superset_rate,
-            "mean_n_items": self.mean_n_items,
-        }
+        # the field is a tuple; the dict, like the JSON it feeds, holds a list
+        return {**asdict(self), "per_trial_losses": list(self.per_trial_losses)}
 
 
 def _derived_seed(*parts: int) -> int:
@@ -274,30 +257,22 @@ def _run_trial(
     robust: bool,
     trial_seed: int,
 ) -> list[TrialResult]:
+    """One trial from ``trial_seed``: generate, split, calibrate at each alpha, evaluate."""
     dataset = generate_synthetic_dataset(config, seed=trial_seed)
     cal, test = _split_counts(config, dataset, trial_seed)
-
-    if mode == MODE_EXACT:
-        calibrate = calibrate_exact
-    elif mode == MODE_GRID:
-        calibrate = calibrate_grid
-    else:
-        raise ValueError(f"mode must be 'exact' or 'grid', got {mode!r}")
+    calibrate = calibrate_exact if mode == MODE_EXACT else calibrate_grid
     step = RiskStep(cal.arrays)
     results = [calibrate(step, a) for a in alphas]
 
     arrays = test.arrays
     if not robust:
         out = []
-        for a, res in zip(alphas, results):
+        for res in results:
             _, sizes, losses = _set_stats(
                 arrays.scores, arrays.offsets, arrays.truth, res.lambda_hat
             )
             out.append(
                 TrialResult(
-                    alpha=a,
-                    mode=mode,
-                    robust=False,
                     lambda_hat=res.lambda_hat,
                     feasible=res.feasible,
                     mean_loss=float(np.mean(losses)),
@@ -311,7 +286,7 @@ def _run_trial(
     in_truth = arrays.truth[starts[question] + position]
     truth_sizes = np.add.reduceat(arrays.truth, starts, dtype=np.int64)
     out = []
-    for a, res in zip(alphas, results):
+    for res in results:
         lam = res.lambda_hat
         kept = _kept(score, lam)
         n_items, n_positions, _, losses = _pair_stats(
@@ -327,9 +302,6 @@ def _run_trial(
         )
         out.append(
             TrialResult(
-                alpha=a,
-                mode=mode,
-                robust=True,
                 lambda_hat=lam,
                 feasible=res.feasible,
                 mean_loss=float(np.mean(losses)),
@@ -341,18 +313,6 @@ def _run_trial(
             )
         )
     return out
-
-
-def run_trial(
-    config: SyntheticConfig,
-    alpha: float,
-    mode: str = MODE_EXACT,
-    robust: bool = False,
-    trial_seed: int | None = None,
-) -> TrialResult:
-    """Generate, split, calibrate, predict, evaluate: one trial, one alpha."""
-    seed = config.seed if trial_seed is None else trial_seed
-    return _run_trial(config, [alpha], mode, robust, seed)[0]
 
 
 def run_coverage_experiment(
@@ -375,6 +335,8 @@ def run_coverage_experiment(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if mode not in (MODE_EXACT, MODE_GRID):
+        raise ValueError(f"mode must be 'exact' or 'grid', got {mode!r}")
     single = isinstance(alpha, (int, float))
     alphas = [float(alpha)] if single else [float(a) for a in alpha]
     if not alphas:

@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from tokencover import cli
 from tokencover.cli import EXIT_INPUT, main
 
 DATASET = "".join(json.dumps(rec) + "\n" for rec in [
@@ -61,6 +62,8 @@ ROWS = [
                  EXIT_INPUT, "run 1 'trials' must be an integer, got [1]", id="run-trials-list"),
     pytest.param(SIMULATE, sim_config(runs=[{"alpha": 0.2, "robust": "false"}]), EXIT_INPUT,
                  "run 0 'robust' must be true or false, got 'false'", id="run-robust-string"),
+    pytest.param(SIMULATE, sim_config(runs=[{"alpha": 0.2, "mode": 5}]), EXIT_INPUT,
+                 "run 0 'mode' must be a string, got 5", id="run-mode-integer"),
 ]
 
 
@@ -70,3 +73,14 @@ def test_malformed_input(tmp_path, capsys, argv, files, code, message):
         (tmp_path / name).write_text(text, encoding="utf-8")
     assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == code
     assert message in capsys.readouterr().err
+
+
+def test_out_of_memory_is_an_input_error(tmp_path, capsys, monkeypatch):
+    def load_dataset(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "load_dataset", load_dataset)
+    argv = ["stats", "--dataset", str(tmp_path / "data.jsonl"),
+            "--calibration", str(tmp_path / "calib.json")]
+    assert main(argv) == EXIT_INPUT
+    assert "error: stats ran out of memory" in capsys.readouterr().err

@@ -23,11 +23,11 @@ from tokencover.sim import (
     CoverageReport,
     SyntheticConfig,
     _derived_seed,
+    _run_trial,
     _split_counts,
     generate_synthetic_dataset,
     oracle_scorer,
     run_coverage_experiment,
-    run_trial,
     summarize,
     synthetic_lexicon,
 )
@@ -111,45 +111,49 @@ class TestSyntheticLexicon:
             synthetic_lexicon(ds, fanout=-1)
 
 
-class TestRunTrial:
+class TestSingleTrialExperiment:
     def test_plain_trial_fields(self):
-        res = run_trial(SMALL, alpha=0.3)
-        assert res.alpha == 0.3
-        assert res.mode == "exact"
-        assert not res.robust
-        assert 0.0 <= res.lambda_hat <= 1.0
-        assert 0.0 <= res.mean_loss <= 1.0
-        assert res.mean_set_size >= 0.0
-        assert res.comparator_mean_loss is None
-        assert res.superset_rate is None
+        rep = run_coverage_experiment(SMALL, alpha=0.3, trials=1)
+        assert rep.alpha == 0.3
+        assert rep.mode == "exact"
+        assert not rep.robust
+        assert 0.0 <= rep.mean_lambda <= 1.0
+        assert 0.0 <= rep.mean_loss <= 1.0
+        assert rep.mean_set_size >= 0.0
+        assert rep.comparator_mean_loss is None
+        assert rep.superset_rate is None
 
     def test_robust_trial_populates_extras(self):
-        res = run_trial(SMALL, alpha=0.3, robust=True)
-        assert res.robust
-        assert res.comparator_mean_loss is not None
-        assert res.comparator_mean_set_size is not None
-        assert res.superset_rate is not None
-        assert res.mean_n_items is not None
+        rep = run_coverage_experiment(SMALL, alpha=0.3, trials=1, robust=True)
+        assert rep.robust
+        assert rep.comparator_mean_loss is not None
+        assert rep.comparator_mean_set_size is not None
+        assert rep.superset_rate is not None
+        assert rep.mean_n_items is not None
         # items count pairs, so it can only exceed the position count
-        assert res.mean_n_items >= res.mean_set_size
+        assert rep.mean_n_items >= rep.mean_set_size
 
     def test_zero_noise_means_zero_loss(self):
         cfg = SyntheticConfig(n_calibration=20, n_test=20, k_range=(3, 5), sigma=0.0, seed=3)
-        res = run_trial(cfg, alpha=0.3)
-        assert res.feasible
-        assert res.lambda_hat == 0.0
-        assert res.mean_loss == 0.0
+        rep = run_coverage_experiment(cfg, alpha=0.3, trials=1)
+        assert rep.feasibility_rate == 1.0
+        assert rep.mean_lambda == 0.0
+        assert rep.mean_loss == 0.0
 
     def test_grid_mode_overshoots_exact_by_at_most_one_step(self):
-        exact = run_trial(SMALL, alpha=0.3, mode="exact", trial_seed=11)
-        grid = run_trial(SMALL, alpha=0.3, mode="grid", trial_seed=11)
-        assert exact.feasible and grid.feasible
-        assert 0.0 <= grid.lambda_hat - exact.lambda_hat <= 1.0 / 1000 + 1e-12
+        exact = run_coverage_experiment(SMALL, alpha=0.3, trials=1, mode="exact")
+        grid = run_coverage_experiment(SMALL, alpha=0.3, trials=1, mode="grid")
+        assert exact.feasibility_rate == grid.feasibility_rate == 1.0
+        assert 0.0 <= grid.mean_lambda - exact.mean_lambda <= 1.0 / 1000 + 1e-12
         assert grid.mean_loss <= exact.mean_loss + 1e-12
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            run_trial(SMALL, alpha=0.3, mode="psychic")
+    def test_unknown_mode_rejected_before_any_data(self, monkeypatch):
+        def generate(*args, **kwargs):
+            raise AssertionError("a dataset was generated for a bad mode")
+
+        monkeypatch.setattr("tokencover.sim.generate_synthetic_dataset", generate)
+        with pytest.raises(ValueError, match="mode must be 'exact' or 'grid', got 'psychic'"):
+            run_coverage_experiment(SMALL, alpha=0.3, trials=1, mode="psychic")
 
 
 class TestRunCoverageExperiment:
@@ -287,7 +291,7 @@ class TestRobustComparatorSeesNoise:
         # robust check while testing nothing.
         config = SyntheticConfig(n_calibration=100, n_test=100, seed=0)
         losses = np.array([
-            run_trial(config, 0.2, robust=True, trial_seed=seed).comparator_mean_loss
+            _run_trial(config, [0.2], "exact", True, seed)[0].comparator_mean_loss
             for seed in range(40)
         ])
         se = losses.std(ddof=1) / np.sqrt(losses.size)
@@ -307,8 +311,8 @@ class TestPlainTrialMatchesPerQuestionPath:
         oracle = oracle_scorer(config, dataset, seed=trial_seed)
         cal, test = _split_counts(config, dataset, trial_seed)
         calibrate = calibrate_exact if mode == "exact" else calibrate_grid
-        for alpha in (0.1, 0.2, 0.45, 0.8):
-            res = run_trial(config, alpha, mode=mode, trial_seed=trial_seed)
+        alphas = (0.1, 0.2, 0.45, 0.8)
+        for alpha, res in zip(alphas, _run_trial(config, alphas, mode, False, trial_seed)):
             assert res.lambda_hat == calibrate(cal.examples, alpha).lambda_hat
             reports = [
                 evaluate(build_set(ex.question, oracle.score_question(ex.question),
@@ -343,8 +347,8 @@ class TestRobustTrialMatchesPerQuestionPath:
             for ex in test.examples:
                 noisy = inject_noise(ex.question, lexicon, d, int(noise_rng.integers(2**63)))
                 perturbed.append((ex, noisy, robust_scores(noisy, lexicon, spec, oracle)))
-            for alpha in (0.1, 0.2, 0.45, 0.8):
-                res = run_trial(config, alpha, mode=mode, robust=True, trial_seed=trial_seed)
+            alphas = (0.1, 0.2, 0.45, 0.8)
+            for alpha, res in zip(alphas, _run_trial(config, alphas, mode, True, trial_seed)):
                 calibrate = calibrate_exact if mode == "exact" else calibrate_grid
                 lam = calibrate(cal.examples, alpha).lambda_hat
                 assert res.lambda_hat == lam

@@ -103,6 +103,14 @@ DEFECTS = [
            "src/tokencover/core.py",
            "frozenset({int, float})",
            "frozenset({int, float, bool})"),
+    Defect("J", "`CoverageReport.to_dict` leaves `per_trial_losses` a tuple",
+           "src/tokencover/sim.py",
+           'return {**asdict(self), "per_trial_losses": list(self.per_trial_losses)}',
+           "return asdict(self)"),
+    Defect("O", "`simulate --config` accepts a run `mode` that is not a string",
+           "src/tokencover/cli.py",
+           '"mode": ((str,), "a string"), ',
+           ""),
 ]
 
 
