@@ -102,16 +102,28 @@ class CalibrationResult:
 
     @classmethod
     def from_dict(cls, rec: dict[str, Any]) -> "CalibrationResult":
+        """The result a JSON object holds; a value of the wrong JSON type
+        raises ValueError naming its key."""
+        number = (int, float)
         return cls(
-            lambda_hat=float(rec["lambda_hat"]),
-            alpha=float(rec["alpha"]),
-            n=int(rec["n"]),
-            adjusted_bound=float(rec["adjusted_bound"]),
-            feasible=bool(rec["feasible"]),
-            mode=str(rec["mode"]),
-            grid_size=None if rec.get("grid_size") is None else int(rec["grid_size"]),
-            scorer_id=rec.get("scorer_id"),
+            lambda_hat=float(_json_value(rec, "lambda_hat", number, "a number")),
+            alpha=float(_json_value(rec, "alpha", number, "a number")),
+            n=_json_value(rec, "n", (int,), "an integer"),
+            adjusted_bound=float(_json_value(rec, "adjusted_bound", number, "a number")),
+            feasible=_json_value(rec, "feasible", (bool,), "true or false"),
+            mode=_json_value(rec, "mode", (str,), "a string"),
+            grid_size=_json_value(rec, "grid_size", (int, type(None)), "an integer or null"),
+            scorer_id=_json_value(rec, "scorer_id", (str, type(None)), "a string or null"),
         )
+
+
+def _json_value(rec: dict[str, Any], key: str, types: tuple[type, ...], what: str) -> Any:
+    """``rec[key]`` if its type is exactly one of ``types``, so that true and
+    false are no numbers. A key that may be null may also be missing."""
+    value = rec.get(key) if type(None) in types else rec[key]
+    if type(value) not in types:
+        raise ValueError(f"calibration field {key!r} must be {what}, got {value!r}")
+    return value
 
 
 def loss(uncertainty_set: "UncertaintySet", truth: GroundTruthExplanation) -> float:

@@ -22,6 +22,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .calibrate import (
+    DEFAULT_GRID_SIZE,
     CalibrationResult,
     RiskStep,
     adjusted_bound,
@@ -31,7 +32,8 @@ from .calibrate import (
     uniform_grid,
 )
 from .core import DatasetError, ImportanceScores, load_dataset
-from .robust import BallBudgetError, BallSpec, auto_ball_mode, build_robust_set, load_lexicon
+from .robust import (DEFAULT_ENUMERATION_BUDGET, BallBudgetError, BallSpec, auto_ball_mode,
+                     build_robust_set, load_lexicon)
 from .scorer import ScorerError, ScorerSpec, make_scorer, truth_map
 from .sets import _score_batch, _set_stats
 from .sim import CoverageReport, SyntheticConfig, run_coverage_experiment, summarize
@@ -98,7 +100,7 @@ def _load_calibration(path: str) -> CalibrationResult:
         raise ValueError(f"{path}: calibration file must hold a JSON object")
     try:
         return CalibrationResult.from_dict(rec)
-    except (KeyError, TypeError) as e:
+    except (KeyError, ValueError) as e:
         raise ValueError(f"{path}: malformed calibration result ({e})") from None
 
 
@@ -251,10 +253,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         groups.setdefault(key, []).append(r["alpha"])
     reports: list[CoverageReport] = []
     for (trials, mode, robust), alphas in groups.items():
-        out = run_coverage_experiment(
+        reports += run_coverage_experiment(
             config, alphas, trials=trials, mode=mode, robust=robust, workers=args.workers
         )
-        reports.extend(out if isinstance(out, list) else [out])
     csv = summarize(reports)
     if args.out:
         _write_atomic(args.out, csv)
@@ -341,9 +342,6 @@ def _add_common(p: argparse.ArgumentParser, *, scorer: bool = False) -> None:
                        help="disk cache directory for remote scores (or SCORER_CACHE_DIR)")
         p.add_argument("--strict", action="store_true",
                        help="error (not warn) on calibration/scorer identity mismatch")
-        p.add_argument("--workers", type=int, default=1,
-                       help="concurrent requests to a remote scorer in predict; other "
-                            "scorers, and robust-predict, score serially")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--alpha", type=_alpha_arg, required=True)
     p.add_argument("--mode", choices=("exact", "grid"), default="exact")
-    p.add_argument("--grid-size", type=int, default=1001)
+    p.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE)
     p.add_argument("--scorer-id", default=None,
                    help="identity of the scorer that produced the dataset's scores")
     p.add_argument("--out", required=True, help="output path for the calibration JSON")
@@ -369,6 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--calibration", required=True)
     p.add_argument("--out", required=True, help="output path for predictions JSONL")
+    p.add_argument("--workers", type=int, default=1,
+                   help="concurrent requests to a remote scorer; other scorers score serially")
     _add_common(p, scorer=True)
     p.set_defaults(func=cmd_predict)
 
@@ -377,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calibration", required=True)
     p.add_argument("--lexicon", required=True, help="synonym lexicon JSONL")
     p.add_argument("--d", type=int, required=True, help="max substituted positions")
-    p.add_argument("--budget", type=int, default=100_000, help="ball enumeration budget")
+    p.add_argument("--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET,
+                   help="ball enumeration budget")
     p.add_argument("--ball-mode", choices=("exact", "coordinatewise", "auto"), default="auto")
     p.add_argument("--out", required=True, help="output path for robust predictions JSONL")
     _add_common(p, scorer=True)

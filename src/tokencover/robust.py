@@ -32,8 +32,8 @@ import numpy as np
 
 from .calibrate import CalibrationResult
 from .core import GroundTruthExplanation, TokenizedQuestion
-from .scorer import ScorerError, ScorerSpec, _ScorerBase
-from .sets import UncertaintySet, _check_scorer_identity, _kept, _resolve_scorer
+from .scorer import ScorerError, _ScorerBase
+from .sets import UncertaintySet, _check_scorer_identity, _kept
 
 BALL_MODES = ("exact", "coordinatewise")
 
@@ -251,7 +251,7 @@ def robust_scores(
     question: TokenizedQuestion,
     lexicon: SynonymLexicon,
     spec: BallSpec,
-    scorer: _ScorerBase | ScorerSpec,
+    scorer: _ScorerBase,
 ) -> dict[tuple[int, str], float]:
     """Worst-case-best score for every attainable (position, candidate) pair.
 
@@ -261,18 +261,17 @@ def robust_scores(
     the exact maximum whenever the scorer is context-free, and is refused
     otherwise.
     """
-    s = _resolve_scorer(scorer)
     if spec.mode == "coordinatewise":
-        if not s.context_free:
+        if not scorer.context_free:
             raise ScorerError(
-                f"coordinatewise mode requires a context-free scorer; {s.identity!r} is not"
+                f"coordinatewise mode requires a context-free scorer; {scorer.identity!r} is not"
             )
         positions, candidates = _candidate_pairs(question.tokens, lexicon, spec.d)
-        scores = s.score_tokens(question, positions, candidates)
+        scores = scorer.score_tokens(question, positions, candidates)
         return dict(zip(zip(positions, candidates), scores))
     best: dict[tuple[int, str], float] = {}
     for member in enumerate_ball(question, lexicon, spec):
-        values = s.score_question(member).values
+        values = scorer.score_question(member).values
         for j, tok in enumerate(member.tokens):
             key = (j, tok)
             prev = best.get(key)
@@ -306,14 +305,13 @@ def build_robust_set(
     question: TokenizedQuestion,
     lexicon: SynonymLexicon,
     spec: BallSpec,
-    scorer: _ScorerBase | ScorerSpec,
+    scorer: _ScorerBase,
     calibration: CalibrationResult,
     strict: bool = False,
 ) -> RobustUncertaintySet:
     """Score the question's ball and threshold it at the calibrated lambda."""
-    s = _resolve_scorer(scorer)
-    _check_scorer_identity(s, calibration, strict)
-    table = robust_scores(question, lexicon, spec, s)
+    _check_scorer_identity(scorer, calibration, strict)
+    table = robust_scores(question, lexicon, spec, scorer)
     return threshold_robust_scores(
         question, table, calibration.lambda_hat, ball_size(question, lexicon, spec)
     )

@@ -88,8 +88,8 @@ class ScorerSpec:
 
     ``kind`` is one of SCORER_KINDS; ``parameters`` holds kind-specific
     settings (``sigma`` for oracle_noise, ``value`` for constant,
-    ``endpoint``/``timeout``/``retries`` for remote). ``seed`` drives every
-    stochastic kind.
+    ``endpoint``/``timeout``/``retries``/``backoff`` for remote). ``seed``
+    drives every stochastic kind.
     """
 
     kind: str
@@ -109,10 +109,6 @@ class _ScorerBase:
 
     def score_question(self, question: TokenizedQuestion) -> ImportanceScores:
         raise NotImplementedError
-
-    def score_token(self, question: TokenizedQuestion, position: int, token: str) -> float:
-        """``score_tokens`` of the one pair (position, token)."""
-        return self.score_tokens(question, [position], [token])[0]
 
     def score_tokens(self, question: TokenizedQuestion, positions: Sequence[int],
                      tokens: Sequence[str]) -> list[float]:
@@ -322,8 +318,8 @@ class RemoteScorer(_ScorerBase):
     any other HTTP error status, and a 200 whose body is not JSON or has no
     ``scores``, fail at once. Responses are validated for length and range,
     and validated scores are memoized in memory and in an optional on-disk
-    cache. In-flight requests are bounded so batch prediction cannot
-    stampede the endpoint.
+    cache. Each request runs in the calling thread, so the requests in
+    flight are bounded by the threads that call the scorer.
     """
 
     context_free = False
@@ -334,7 +330,6 @@ class RemoteScorer(_ScorerBase):
         timeout: float = 10.0,
         retries: int = 3,
         cache_dir: str | Path | None = None,
-        max_inflight: int = 8,
         backoff: float = 0.25,
     ):
         # imported here: urllib.request costs about 40 ms at start-up, which
@@ -356,7 +351,6 @@ class RemoteScorer(_ScorerBase):
         self.identity = f"remote({endpoint})"
         self.disk_cache = ScoreCache(cache_dir) if cache_dir is not None else None
         self._memo: dict[ScoreCacheKey, tuple[float, ...]] = {}
-        self._gate = threading.Semaphore(max(1, int(max_inflight)))
         self._lock = threading.Lock()
         self._opener = build_opener()
 
@@ -380,7 +374,7 @@ class RemoteScorer(_ScorerBase):
                 time.sleep(self.backoff * (2 ** (attempt - 1)))
             request = Request(self.endpoint, data=body, headers=headers, method="POST")
             try:
-                with self._gate, self._opener.open(request, timeout=self.timeout) as resp:
+                with self._opener.open(request, timeout=self.timeout) as resp:
                     raw = resp.read()
             except HTTPError as e:
                 e.close()
@@ -458,14 +452,14 @@ _ALLOWED_PARAMS = {
     "oracle_noise": {"sigma", "truth_by_id"},
     "uniform_random": set(),
     "constant": {"value"},
-    "remote": {"endpoint", "timeout", "retries", "max_inflight", "backoff"},
+    "remote": {"endpoint", "timeout", "retries", "backoff"},
 }
 
 
 _NUMBER = (numbers.Real, "a number")
 _INTEGER = (numbers.Integral, "an integer")
 _PARAM_TYPES = {"sigma": _NUMBER, "value": _NUMBER, "timeout": _NUMBER, "backoff": _NUMBER,
-                "retries": _INTEGER, "max_inflight": _INTEGER, "endpoint": (str, "a string")}
+                "retries": _INTEGER, "endpoint": (str, "a string")}
 
 
 def make_scorer(
@@ -502,12 +496,6 @@ def make_scorer(
         if "value" not in params:
             raise ScorerError("constant scorer requires parameter 'value'")
         return ConstantScorer(params["value"])
-    return RemoteScorer(
-        endpoint=params.get("endpoint", ""),
-        timeout=params.get("timeout", 10.0),
-        retries=params.get("retries", 3),
-        cache_dir=cache_dir,
-        max_inflight=params.get("max_inflight", 8),
-        backoff=params.get("backoff", 0.25),
-    )
+    # an empty endpoint is refused by RemoteScorer itself
+    return RemoteScorer(params.pop("endpoint", ""), cache_dir=cache_dir, **params)
 

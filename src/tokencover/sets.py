@@ -22,7 +22,7 @@ import numpy as np
 
 from .calibrate import CalibrationResult, loss
 from .core import GroundTruthExplanation, ImportanceScores, TokenizedQuestion
-from .scorer import RemoteScorer, ScorerError, ScorerSpec, _ScorerBase, make_scorer
+from .scorer import RemoteScorer, ScorerError, _ScorerBase
 
 
 @dataclass(frozen=True)
@@ -106,10 +106,6 @@ def build_set(question: TokenizedQuestion, scores: ImportanceScores, lam: float)
     )
 
 
-def _resolve_scorer(scorer: _ScorerBase | ScorerSpec) -> _ScorerBase:
-    return make_scorer(scorer) if isinstance(scorer, ScorerSpec) else scorer
-
-
 def _check_scorer_identity(scorer: _ScorerBase, calibration: CalibrationResult, strict: bool) -> None:
     if calibration.scorer_id is not None and scorer.identity != calibration.scorer_id:
         msg = (
@@ -123,7 +119,7 @@ def _check_scorer_identity(scorer: _ScorerBase, calibration: CalibrationResult, 
 
 def predict(
     question: TokenizedQuestion,
-    scorer: _ScorerBase | ScorerSpec,
+    scorer: _ScorerBase,
     calibration: CalibrationResult,
     strict: bool = False,
 ) -> UncertaintySet:
@@ -132,14 +128,13 @@ def predict(
     When the calibration result records a scorer identity, a mismatch with
     the supplied scorer warns by default and raises when ``strict``.
     """
-    s = _resolve_scorer(scorer)
-    _check_scorer_identity(s, calibration, strict)
-    return build_set(question, s.score_question(question), calibration.lambda_hat)
+    _check_scorer_identity(scorer, calibration, strict)
+    return build_set(question, scorer.score_question(question), calibration.lambda_hat)
 
 
 def _score_batch(
     questions: Sequence[TokenizedQuestion],
-    scorer: _ScorerBase | ScorerSpec,
+    scorer: _ScorerBase,
     calibration: CalibrationResult,
     strict: bool,
     workers: int,
@@ -152,20 +147,19 @@ def _score_batch(
     ``workers`` threads. A question repeated among the misses is then a memo
     hit, as in a serial pass, so ``calls`` and ``cache_hits`` match one.
     """
-    s = _resolve_scorer(scorer)
-    _check_scorer_identity(s, calibration, strict)
-    if workers <= 1 or not isinstance(s, RemoteScorer):
-        return [s.score_question(q) for q in questions]
-    scored = [s.lookup(q) for q in questions]
+    _check_scorer_identity(scorer, calibration, strict)
+    if workers <= 1 or not isinstance(scorer, RemoteScorer):
+        return [scorer.score_question(q) for q in questions]
+    scored = [scorer.lookup(q) for q in questions]
     misses: dict[tuple[str, tuple[str, ...]], int] = {}
     for i, (q, sc) in enumerate(zip(questions, scored)):
         if sc is None:
             misses.setdefault((q.prompt, q.tokens), i)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        fetched = pool.map(s.fetch, [questions[i] for i in misses.values()])
+        fetched = pool.map(scorer.fetch, [questions[i] for i in misses.values()])
         for i, sc in zip(misses.values(), fetched):
             scored[i] = sc
-    return [s.score_question(q) if sc is None else sc for q, sc in zip(questions, scored)]
+    return [scorer.score_question(q) if sc is None else sc for q, sc in zip(questions, scored)]
 
 
 def evaluate(

@@ -83,20 +83,6 @@ class SyntheticConfig:
 
 
 @dataclass(frozen=True)
-class TrialResult:
-    """Summary of one calibrate-predict-evaluate trial at one alpha."""
-
-    lambda_hat: float
-    feasible: bool
-    mean_loss: float
-    mean_set_size: float
-    comparator_mean_loss: float | None = None
-    comparator_mean_set_size: float | None = None
-    superset_rate: float | None = None
-    mean_n_items: float | None = None
-
-
-@dataclass(frozen=True)
 class CoverageReport:
     """Aggregate of a multi-trial coverage experiment at one alpha."""
 
@@ -256,8 +242,12 @@ def _run_trial(
     mode: str,
     robust: bool,
     trial_seed: int,
-) -> list[TrialResult]:
-    """One trial from ``trial_seed``: generate, split, calibrate at each alpha, evaluate."""
+) -> list[dict[str, float]]:
+    """One trial from ``trial_seed``: generate, split, calibrate at each alpha, evaluate.
+
+    Returns one row per alpha, keyed by the ``CoverageReport`` fields that an
+    experiment averages over trials, each holding this trial's value.
+    """
     dataset = generate_synthetic_dataset(config, seed=trial_seed)
     cal, test = _split_counts(config, dataset, trial_seed)
     calibrate = calibrate_exact if mode == MODE_EXACT else calibrate_grid
@@ -265,80 +255,59 @@ def _run_trial(
     results = [calibrate(step, a) for a in alphas]
 
     arrays = test.arrays
-    if not robust:
-        out = []
-        for res in results:
-            _, sizes, losses = _set_stats(
-                arrays.scores, arrays.offsets, arrays.truth, res.lambda_hat
-            )
-            out.append(
-                TrialResult(
-                    lambda_hat=res.lambda_hat,
-                    feasible=res.feasible,
-                    mean_loss=float(np.mean(losses)),
-                    mean_set_size=float(np.mean(sizes)),
-                )
-            )
-        return out
-
-    question, position, score, clean, noisy = _robust_items(config, test, trial_seed)
-    starts = arrays.offsets[:-1]
-    in_truth = arrays.truth[starts[question] + position]
-    truth_sizes = np.add.reduceat(arrays.truth, starts, dtype=np.int64)
-    out = []
+    if robust:
+        question, position, score, clean, noisy = _robust_items(config, test, trial_seed)
+        starts = arrays.offsets[:-1]
+        in_truth = arrays.truth[starts[question] + position]
+        truth_sizes = np.add.reduceat(arrays.truth, starts, dtype=np.int64)
+    rows = []
     for res in results:
         lam = res.lambda_hat
-        kept = _kept(score, lam)
-        n_items, n_positions, _, losses = _pair_stats(
-            question, position, clean, in_truth, kept, truth_sizes
-        )
-        # the comparator: the plain set on the noisy question
-        _, comp_positions, _, comp_losses = _pair_stats(
-            question, position, clean, in_truth, kept & noisy, truth_sizes
-        )
-        # the materialized scores are the plain scores of the clean questions
-        superset = _superset_holds(
-            question, position, clean, kept, _kept(arrays.scores, lam), arrays.offsets
-        )
-        out.append(
-            TrialResult(
-                lambda_hat=lam,
-                feasible=res.feasible,
-                mean_loss=float(np.mean(losses)),
-                mean_set_size=float(np.mean(n_positions)),
-                comparator_mean_loss=float(np.mean(comp_losses)),
-                comparator_mean_set_size=float(np.mean(comp_positions)),
-                superset_rate=float(np.mean(superset)),
-                mean_n_items=float(np.mean(n_items)),
+        row: dict[str, Any] = {"mean_lambda": lam, "feasibility_rate": float(res.feasible)}
+        if not robust:
+            _, row["mean_set_size"], row["mean_loss"] = _set_stats(
+                arrays.scores, arrays.offsets, arrays.truth, lam
             )
-        )
-    return out
+        else:
+            kept = _kept(score, lam)
+            row["mean_n_items"], row["mean_set_size"], _, row["mean_loss"] = _pair_stats(
+                question, position, clean, in_truth, kept, truth_sizes
+            )
+            # the comparator: the plain set on the noisy question
+            _, row["comparator_mean_set_size"], _, row["comparator_mean_loss"] = _pair_stats(
+                question, position, clean, in_truth, kept & noisy, truth_sizes
+            )
+            # the materialized scores are the plain scores of the clean questions
+            row["superset_rate"] = _superset_holds(
+                question, position, clean, kept, _kept(arrays.scores, lam), arrays.offsets
+            )
+        rows.append({key: float(np.mean(v)) for key, v in row.items()})
+    return rows
 
 
 def run_coverage_experiment(
     config: SyntheticConfig,
-    alpha: float | Sequence[float],
+    alphas: Sequence[float],
     trials: int,
     mode: str = MODE_EXACT,
     robust: bool = False,
     workers: int = 1,
-) -> CoverageReport | list[CoverageReport]:
-    """Run independent trials and aggregate per alpha.
+) -> list[CoverageReport]:
+    """Run independent trials and aggregate them into one report per alpha.
 
-    Accepts one alpha or a sequence; a sequence shares each trial's dataset
-    and scoring across all alphas, which only recalibrates the threshold.
-    Trial seeds derive from (config.seed, trial index). With a single trial
-    the standard error is undefined and reported as None. With ``workers``
-    above 1, trials run in up to that many spawned processes and give the
-    same results as a serial run; a script that calls this from its top level
-    must then guard it with ``if __name__ == "__main__":``.
+    Each trial's dataset and scoring are shared across all alphas, which
+    only recalibrates the threshold. Trial seeds derive from (config.seed,
+    trial index). With a single trial the standard error is undefined and
+    reported as None. With ``workers`` above 1, trials run in up to that many
+    spawned processes and give the same results as a serial run; a script
+    that calls this from its top level must then guard it with
+    ``if __name__ == "__main__":``.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if mode not in (MODE_EXACT, MODE_GRID):
         raise ValueError(f"mode must be 'exact' or 'grid', got {mode!r}")
-    single = isinstance(alpha, (int, float))
-    alphas = [float(alpha)] if single else [float(a) for a in alpha]
+    alphas = [float(a) for a in alphas]
     if not alphas:
         raise ValueError("need at least one alpha")
     trial_seeds = [_derived_seed(config.seed, t) for t in range(trials)]
@@ -356,33 +325,15 @@ def run_coverage_experiment(
         all_trials = [one(s) for s in trial_seeds]
 
     reports = []
-    for i, a in enumerate(alphas):
-        rows = [tr[i] for tr in all_trials]
-        losses = np.array([r.mean_loss for r in rows], dtype=np.float64)
+    for a, rows in zip(alphas, zip(*all_trials)):
+        # one 1-D mean per field: a mean over a trials x fields table sums
+        # in another order and can change the last bits
+        means = {key: float(np.mean([row[key] for row in rows])) for key in rows[0]}
+        losses = np.array([row["mean_loss"] for row in rows])
         se = float(losses.std(ddof=1) / np.sqrt(trials)) if trials >= 2 else None
-
-        def opt(key: str) -> float | None:
-            return float(np.mean([getattr(r, key) for r in rows])) if robust else None
-
-        reports.append(
-            CoverageReport(
-                alpha=a,
-                mode=mode,
-                robust=robust,
-                trials=trials,
-                mean_loss=float(losses.mean()),
-                se=se,
-                mean_set_size=float(np.mean([r.mean_set_size for r in rows])),
-                mean_lambda=float(np.mean([r.lambda_hat for r in rows])),
-                feasibility_rate=float(np.mean([1.0 if r.feasible else 0.0 for r in rows])),
-                per_trial_losses=tuple(float(v) for v in losses),
-                comparator_mean_loss=opt("comparator_mean_loss"),
-                comparator_mean_set_size=opt("comparator_mean_set_size"),
-                superset_rate=opt("superset_rate"),
-                mean_n_items=opt("mean_n_items"),
-            )
-        )
-    return reports[0] if single else reports
+        reports.append(CoverageReport(alpha=a, mode=mode, robust=robust, trials=trials, se=se,
+                                      per_trial_losses=tuple(losses.tolist()), **means))
+    return reports
 
 
 CSV_HEADER = "alpha,mode,robust,trials,mean_loss,se,mean_set_size,mean_lambda,feasibility_rate"

@@ -19,12 +19,19 @@ DATASET = "".join(json.dumps(rec) + "\n" for rec in [
     {"id": "q0", "tokens": ["a", "b"], "scores": [0.9, 0.1], "explanation_indices": [0]},
     {"id": "q1", "tokens": ["c", "d"], "scores": [0.2, 0.8], "explanation_indices": [1]},
 ])
-CALIBRATION = json.dumps({"lambda_hat": 0.5, "alpha": 0.2, "n": 2, "adjusted_bound": 0.1,
-                          "feasible": True, "mode": "exact"})
+CALIBRATION_FIELDS = {"lambda_hat": 0.5, "alpha": 0.2, "n": 2, "adjusted_bound": 0.1,
+                      "feasible": True, "mode": "exact"}
+CALIBRATION = json.dumps(CALIBRATION_FIELDS)
 SIMULATE = ["simulate", "--config", "{tmp}/sim.json", "--trials", "1"]
 PREDICT = ["predict", "--dataset", "{tmp}/data.jsonl", "--calibration", "{tmp}/calib.json",
            "--out", "{tmp}/out.jsonl"]
 PREDICT_FILES = {"data.jsonl": DATASET, "calib.json": CALIBRATION}
+PREDICT_CONSTANT = [*PREDICT, "--scorer", "constant:value=0.5"]
+STATS = ["stats", "--dataset", "{tmp}/data.jsonl", "--calibration", "{tmp}/calib.json"]
+
+
+def calibration_files(**changes):
+    return {"data.jsonl": DATASET, "calib.json": json.dumps({**CALIBRATION_FIELDS, **changes})}
 
 
 def sim_config(config=None, runs=({"alpha": 0.2},)):
@@ -64,6 +71,29 @@ ROWS = [
                  "run 0 'robust' must be true or false, got 'false'", id="run-robust-string"),
     pytest.param(SIMULATE, sim_config(runs=[{"alpha": 0.2, "mode": 5}]), EXIT_INPUT,
                  "run 0 'mode' must be a string, got 5", id="run-mode-integer"),
+    pytest.param(STATS, calibration_files(feasible="false"), EXIT_INPUT,
+                 "'feasible' must be true or false, got 'false'", id="stats-feasible-string"),
+    pytest.param(STATS, calibration_files(lambda_hat=True), EXIT_INPUT,
+                 "'lambda_hat' must be a number, got True", id="stats-lambda-bool"),
+    pytest.param(STATS, calibration_files(n="50"), EXIT_INPUT,
+                 "'n' must be an integer, got '50'", id="stats-n-string"),
+    pytest.param(STATS, calibration_files(n=2.0), EXIT_INPUT,
+                 "'n' must be an integer, got 2.0", id="stats-n-float"),
+    pytest.param(STATS, calibration_files(mode=3), EXIT_INPUT,
+                 "'mode' must be a string, got 3", id="stats-mode-integer"),
+    pytest.param(STATS, calibration_files(grid_size="1001"), EXIT_INPUT,
+                 "'grid_size' must be an integer or null, got '1001'", id="stats-grid-size-string"),
+    pytest.param(PREDICT_CONSTANT, calibration_files(feasible=1), EXIT_INPUT,
+                 "'feasible' must be true or false, got 1", id="predict-feasible-integer"),
+    pytest.param(PREDICT_CONSTANT, calibration_files(alpha="0.2"), EXIT_INPUT,
+                 "'alpha' must be a number, got '0.2'", id="predict-alpha-string"),
+    pytest.param(PREDICT_CONSTANT, calibration_files(scorer_id=5), EXIT_INPUT,
+                 "'scorer_id' must be a string or null, got 5", id="predict-scorer-id-integer"),
+    pytest.param(PREDICT_CONSTANT, calibration_files(adjusted_bound=None), EXIT_INPUT,
+                 "'adjusted_bound' must be a number, got None", id="predict-bound-null"),
+    pytest.param([*PREDICT, "--scorer", "remote:max_inflight=4,endpoint=http://127.0.0.1:9"],
+                 PREDICT_FILES, EXIT_INPUT, "unknown parameter(s) ['max_inflight']",
+                 id="scorer-max-inflight-unknown"),
 ]
 
 
@@ -73,6 +103,15 @@ def test_malformed_input(tmp_path, capsys, argv, files, code, message):
         (tmp_path / name).write_text(text, encoding="utf-8")
     assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == code
     assert message in capsys.readouterr().err
+
+
+def test_robust_predict_has_no_workers_option(capsys):
+    argv = ["robust-predict", "--dataset", "d.jsonl", "--calibration", "c.json", "--lexicon",
+            "l.jsonl", "--d", "1", "--scorer", "constant:value=0.5", "--out", "o.jsonl"]
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--workers", "2"])
+    assert exit_info.value.code == EXIT_INPUT
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 def test_out_of_memory_is_an_input_error(tmp_path, capsys, monkeypatch):

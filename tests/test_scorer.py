@@ -94,23 +94,24 @@ class TestOracleNoise:
         assert edited[1] == base[1]
         assert edited[2] == base[2]
 
-    def test_score_token_matches_score_question(self):
+    def test_one_pair_score_tokens_matches_score_question(self):
         scorer = OracleNoiseScorer(sigma=0.4, seed=3, truth_by_id={"q0": {0, 2}})
         question = q(["a", "b", "c"])
         full = scorer.score_question(question).values
         for j, tok in enumerate(question.tokens):
-            assert scorer.score_token(question, j, tok) == full[j]
+            assert scorer.score_tokens(question, [j], [tok]) == [full[j]]
 
     @pytest.mark.parametrize("make", [
         lambda: OracleNoiseScorer(sigma=0.4, seed=3, truth_by_id={"q0": {0, 2}}),
         lambda: ConstantScorer(0.25),
     ])
-    def test_score_tokens_is_score_token_per_pair(self, make):
+    def test_score_tokens_is_one_call_per_pair(self, make):
         question = q(["a", "b", "c"])
         positions, tokens = [0, 0, 1, 2, 2], ["a", "a~1", "b", "c", "zz"]
         batch, single = make(), make()
         got = batch.score_tokens(question, positions, tokens)
-        assert got == [single.score_token(question, j, t) for j, t in zip(positions, tokens)]
+        assert got == [single.score_tokens(question, [j], [t])[0]
+                       for j, t in zip(positions, tokens)]
         assert batch.calls == single.calls == len(positions)
 
     def test_unknown_question_id_raises(self):
@@ -195,16 +196,16 @@ class TestUniformRandom:
         assert base[1:] != edited[1:]
         assert not scorer.context_free
 
-    def test_score_token_refused(self):
+    def test_score_tokens_refused(self):
         with pytest.raises(ScorerError, match="context-free"):
-            UniformRandomScorer(seed=1).score_token(q(["a"]), 0, "a")
+            UniformRandomScorer(seed=1).score_tokens(q(["a"]), [0], ["a"])
 
 
 class TestConstantAndTable:
     def test_constant_scores(self):
         scorer = ConstantScorer(0.5)
         assert scorer.score_question(q(["a", "b"])).values == (0.5, 0.5)
-        assert scorer.score_token(q(["a", "b"]), 1, "zzz") == 0.5
+        assert scorer.score_tokens(q(["a", "b"]), [1], ["zzz"]) == [0.5]
 
     def test_constant_out_of_range_rejected(self):
         with pytest.raises(ScorerError):

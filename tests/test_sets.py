@@ -86,10 +86,6 @@ class TestPredict:
         assert got.indices == frozenset({0, 2})
         assert got.lambda_used == 0.5
 
-    def test_accepts_spec_in_place_of_scorer(self):
-        got = predict(q(["a", "b"]), ScorerSpec(kind="constant", parameters={"value": 1.0}), calib(0.0))
-        assert got.indices == frozenset({0, 1})
-
     def test_identity_mismatch_warns_by_default(self):
         scorer = ConstantScorer(1.0)
         with pytest.warns(UserWarning, match="does not match"):

@@ -113,7 +113,7 @@ class TestSyntheticLexicon:
 
 class TestSingleTrialExperiment:
     def test_plain_trial_fields(self):
-        rep = run_coverage_experiment(SMALL, alpha=0.3, trials=1)
+        [rep] = run_coverage_experiment(SMALL, [0.3], trials=1)
         assert rep.alpha == 0.3
         assert rep.mode == "exact"
         assert not rep.robust
@@ -124,7 +124,7 @@ class TestSingleTrialExperiment:
         assert rep.superset_rate is None
 
     def test_robust_trial_populates_extras(self):
-        rep = run_coverage_experiment(SMALL, alpha=0.3, trials=1, robust=True)
+        [rep] = run_coverage_experiment(SMALL, [0.3], trials=1, robust=True)
         assert rep.robust
         assert rep.comparator_mean_loss is not None
         assert rep.comparator_mean_set_size is not None
@@ -135,14 +135,14 @@ class TestSingleTrialExperiment:
 
     def test_zero_noise_means_zero_loss(self):
         cfg = SyntheticConfig(n_calibration=20, n_test=20, k_range=(3, 5), sigma=0.0, seed=3)
-        rep = run_coverage_experiment(cfg, alpha=0.3, trials=1)
+        [rep] = run_coverage_experiment(cfg, [0.3], trials=1)
         assert rep.feasibility_rate == 1.0
         assert rep.mean_lambda == 0.0
         assert rep.mean_loss == 0.0
 
     def test_grid_mode_overshoots_exact_by_at_most_one_step(self):
-        exact = run_coverage_experiment(SMALL, alpha=0.3, trials=1, mode="exact")
-        grid = run_coverage_experiment(SMALL, alpha=0.3, trials=1, mode="grid")
+        [exact] = run_coverage_experiment(SMALL, [0.3], trials=1, mode="exact")
+        [grid] = run_coverage_experiment(SMALL, [0.3], trials=1, mode="grid")
         assert exact.feasibility_rate == grid.feasibility_rate == 1.0
         assert 0.0 <= grid.mean_lambda - exact.mean_lambda <= 1.0 / 1000 + 1e-12
         assert grid.mean_loss <= exact.mean_loss + 1e-12
@@ -153,24 +153,24 @@ class TestSingleTrialExperiment:
 
         monkeypatch.setattr("tokencover.sim.generate_synthetic_dataset", generate)
         with pytest.raises(ValueError, match="mode must be 'exact' or 'grid', got 'psychic'"):
-            run_coverage_experiment(SMALL, alpha=0.3, trials=1, mode="psychic")
+            run_coverage_experiment(SMALL, [0.3], trials=1, mode="psychic")
 
 
 class TestRunCoverageExperiment:
     def test_reproducible(self):
-        a = run_coverage_experiment(SMALL, alpha=0.3, trials=4)
-        b = run_coverage_experiment(SMALL, alpha=0.3, trials=4)
+        a = run_coverage_experiment(SMALL, [0.3], trials=4)
+        b = run_coverage_experiment(SMALL, [0.3], trials=4)
         assert a == b
 
     def test_single_trial_has_no_se(self):
-        rep = run_coverage_experiment(SMALL, alpha=0.3, trials=1)
+        [rep] = run_coverage_experiment(SMALL, [0.3], trials=1)
         assert rep.se is None
         assert rep.trials == 1
         assert len(rep.per_trial_losses) == 1
 
     def test_workers_do_not_change_results(self):
-        serial = run_coverage_experiment(SMALL, alpha=0.3, trials=4, workers=1)
-        threaded = run_coverage_experiment(SMALL, alpha=0.3, trials=4, workers=4)
+        serial = run_coverage_experiment(SMALL, [0.3], trials=4, workers=1)
+        threaded = run_coverage_experiment(SMALL, [0.3], trials=4, workers=4)
         assert serial == threaded
 
     def test_workers_do_not_change_robust_results(self):
@@ -179,15 +179,15 @@ class TestRunCoverageExperiment:
         assert serial == pooled
 
     def test_alpha_sequence_matches_independent_runs(self):
-        multi = run_coverage_experiment(SMALL, alpha=[0.2, 0.4], trials=3)
+        multi = run_coverage_experiment(SMALL, [0.2, 0.4], trials=3)
         assert isinstance(multi, list)
         for rep in multi:
-            single = run_coverage_experiment(SMALL, alpha=rep.alpha, trials=3)
+            [single] = run_coverage_experiment(SMALL, [rep.alpha], trials=3)
             assert rep == single
 
     def test_mean_loss_respects_alpha(self):
         # light statistical check; the acceptance suite runs the full one
-        rep = run_coverage_experiment(SyntheticConfig(seed=5), alpha=0.3, trials=30)
+        [rep] = run_coverage_experiment(SyntheticConfig(seed=5), [0.3], trials=30)
         assert rep.feasibility_rate == 1.0
         assert rep.mean_loss <= 0.3 + 3 * rep.se
 
@@ -197,13 +197,13 @@ class TestRunCoverageExperiment:
             cfg = SyntheticConfig(
                 n_calibration=50, n_test=10, k_range=(5, 8), sigma=sigma, seed=13
             )
-            rep = run_coverage_experiment(cfg, alpha=0.2, trials=5)
+            [rep] = run_coverage_experiment(cfg, [0.2], trials=5)
             lambdas.append(rep.mean_lambda)
         assert lambdas[0] < lambdas[1] < lambdas[2]
 
     def test_robust_superset_rate_is_exactly_one(self):
         cfg = SyntheticConfig(n_calibration=30, n_test=15, k_range=(3, 5), seed=9)
-        rep = run_coverage_experiment(cfg, alpha=0.3, trials=3, robust=True)
+        [rep] = run_coverage_experiment(cfg, [0.3], trials=3, robust=True)
         assert rep.superset_rate == 1.0
         assert rep.comparator_mean_loss is not None
 
@@ -217,9 +217,35 @@ class TestRunCoverageExperiment:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="trials"):
-            run_coverage_experiment(SMALL, alpha=0.3, trials=0)
+            run_coverage_experiment(SMALL, [0.3], trials=0)
         with pytest.raises(ValueError, match="alpha"):
-            run_coverage_experiment(SMALL, alpha=[], trials=1)
+            run_coverage_experiment(SMALL, [], trials=1)
+
+
+class TestAggregation:
+    """A report holds, per field, the mean of that field over the trials'
+    rows, bit for bit. Nine trials: from eight on, summing the trials in
+    another order can change the last bits."""
+
+    PLAIN = {"mean_lambda", "feasibility_rate", "mean_loss", "mean_set_size"}
+    ROBUST = {"comparator_mean_loss", "comparator_mean_set_size", "superset_rate", "mean_n_items"}
+
+    @pytest.mark.parametrize("robust", [False, True])
+    def test_report_is_the_mean_of_the_trial_rows(self, robust):
+        trials, alphas = 9, [0.2, 0.45]
+        reports = run_coverage_experiment(SMALL, alphas, trials=trials, robust=robust)
+        trial_rows = [_run_trial(SMALL, alphas, "exact", robust, _derived_seed(SMALL.seed, t))
+                      for t in range(trials)]
+        for i, rep in enumerate(reports):
+            rows = [tr[i] for tr in trial_rows]
+            assert set(rows[0]) == (self.PLAIN | self.ROBUST if robust else self.PLAIN)
+            for key in rows[0]:
+                assert getattr(rep, key) == np.mean([row[key] for row in rows]), key
+            losses = np.array([row["mean_loss"] for row in rows])
+            assert rep.per_trial_losses == tuple(losses.tolist())
+            assert rep.se == losses.std(ddof=1) / np.sqrt(trials)
+            if not robust:
+                assert all(getattr(rep, key) is None for key in self.ROBUST)
 
 
 class TestCoverageReportShape:
@@ -254,7 +280,7 @@ class TestCoverageReportShape:
             )
 
     def test_to_dict_round_trips_floats(self):
-        rep = run_coverage_experiment(SMALL, alpha=0.25, trials=2)
+        [rep] = run_coverage_experiment(SMALL, [0.25], trials=2)
         d = rep.to_dict()
         assert d["alpha"] == 0.25
         assert d["per_trial_losses"] == list(rep.per_trial_losses)
@@ -263,8 +289,8 @@ class TestCoverageReportShape:
 class TestSummarize:
     def test_header_and_sorting(self):
         reps = [
-            run_coverage_experiment(SMALL, alpha=0.4, trials=2),
-            run_coverage_experiment(SMALL, alpha=0.2, trials=2),
+            *run_coverage_experiment(SMALL, [0.4], trials=2),
+            *run_coverage_experiment(SMALL, [0.2], trials=2),
         ]
         text = summarize(reps)
         lines = text.strip().split("\n")
@@ -273,13 +299,13 @@ class TestSummarize:
         assert lines[2].startswith("0.4,exact,false,2,")
 
     def test_floats_round_trip_through_repr(self):
-        rep = run_coverage_experiment(SMALL, alpha=0.3, trials=2)
+        [rep] = run_coverage_experiment(SMALL, [0.3], trials=2)
         row = summarize([rep]).strip().split("\n")[1].split(",")
         assert float(row[4]) == rep.mean_loss
         assert float(row[5]) == rep.se
 
     def test_missing_se_is_empty_field(self):
-        rep = run_coverage_experiment(SMALL, alpha=0.3, trials=1)
+        [rep] = run_coverage_experiment(SMALL, [0.3], trials=1)
         row = summarize([rep]).strip().split("\n")[1].split(",")
         assert row[5] == ""
 
@@ -291,7 +317,7 @@ class TestRobustComparatorSeesNoise:
         # robust check while testing nothing.
         config = SyntheticConfig(n_calibration=100, n_test=100, seed=0)
         losses = np.array([
-            _run_trial(config, [0.2], "exact", True, seed)[0].comparator_mean_loss
+            _run_trial(config, [0.2], "exact", True, seed)[0]["comparator_mean_loss"]
             for seed in range(40)
         ])
         se = losses.std(ddof=1) / np.sqrt(losses.size)
@@ -313,14 +339,14 @@ class TestPlainTrialMatchesPerQuestionPath:
         calibrate = calibrate_exact if mode == "exact" else calibrate_grid
         alphas = (0.1, 0.2, 0.45, 0.8)
         for alpha, res in zip(alphas, _run_trial(config, alphas, mode, False, trial_seed)):
-            assert res.lambda_hat == calibrate(cal.examples, alpha).lambda_hat
+            assert res["mean_lambda"] == calibrate(cal.examples, alpha).lambda_hat
             reports = [
                 evaluate(build_set(ex.question, oracle.score_question(ex.question),
-                                   res.lambda_hat), ex.explanation)
+                                   res["mean_lambda"]), ex.explanation)
                 for ex in test.examples
             ]
-            assert res.mean_loss == np.mean([r.loss for r in reports])
-            assert res.mean_set_size == np.mean([r.set_size for r in reports])
+            assert res["mean_loss"] == np.mean([r.loss for r in reports])
+            assert res["mean_set_size"] == np.mean([r.set_size for r in reports])
 
 
 class TestRobustTrialMatchesPerQuestionPath:
@@ -351,7 +377,7 @@ class TestRobustTrialMatchesPerQuestionPath:
             for alpha, res in zip(alphas, _run_trial(config, alphas, mode, True, trial_seed)):
                 calibrate = calibrate_exact if mode == "exact" else calibrate_grid
                 lam = calibrate(cal.examples, alpha).lambda_hat
-                assert res.lambda_hat == lam
+                assert res["mean_lambda"] == lam
                 evals, comparator, superset = [], [], []
                 for ex, noisy, table in perturbed:
                     q, truth = ex.question, ex.explanation
@@ -361,10 +387,10 @@ class TestRobustTrialMatchesPerQuestionPath:
                     comparator.append(evaluate_pairs(plain_set_pairs(noisy_set), q, truth))
                     clean_pairs = plain_set_pairs(build_set(q, ex.scores, lam))
                     superset.append(1.0 if clean_pairs <= rset.pairs() else 0.0)
-                assert res.mean_loss == np.mean([e.loss for e in evals])
-                assert res.mean_set_size == np.mean([e.n_positions for e in evals])
-                assert res.mean_n_items == np.mean([e.n_items for e in evals])
-                assert res.comparator_mean_loss == np.mean([c.loss for c in comparator])
-                assert res.comparator_mean_set_size == np.mean(
+                assert res["mean_loss"] == np.mean([e.loss for e in evals])
+                assert res["mean_set_size"] == np.mean([e.n_positions for e in evals])
+                assert res["mean_n_items"] == np.mean([e.n_items for e in evals])
+                assert res["comparator_mean_loss"] == np.mean([c.loss for c in comparator])
+                assert res["comparator_mean_set_size"] == np.mean(
                     [c.n_positions for c in comparator])
-                assert res.superset_rate == np.mean(superset)
+                assert res["superset_rate"] == np.mean(superset)

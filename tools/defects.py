@@ -111,6 +111,14 @@ DEFECTS = [
            "src/tokencover/cli.py",
            '"mode": ((str,), "a string"), ',
            ""),
+    Defect("G", "`CalibrationResult.from_dict` reads `feasible` with `bool()`",
+           "src/tokencover/calibrate.py",
+           'feasible=_json_value(rec, "feasible", (bool,), "true or false"),',
+           'feasible=bool(rec["feasible"]),'),
+    Defect("K", "the experiment's means skip the last trial",
+           "src/tokencover/sim.py",
+           "[row[key] for row in rows]",
+           "[row[key] for row in rows[:-1]]"),
 ]
 
 
