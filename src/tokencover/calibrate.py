@@ -28,6 +28,7 @@ curve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
@@ -102,10 +103,10 @@ class CalibrationResult:
 
     @classmethod
     def from_dict(cls, rec: dict[str, Any]) -> "CalibrationResult":
-        """The result a JSON object holds; a value of the wrong JSON type
-        raises ValueError naming its key."""
+        """The result a JSON object holds; a value of the wrong JSON type or
+        out of range raises ValueError naming its key."""
         number = (int, float)
-        return cls(
+        res = cls(
             lambda_hat=float(_json_value(rec, "lambda_hat", number, "a number")),
             alpha=float(_json_value(rec, "alpha", number, "a number")),
             n=_json_value(rec, "n", (int,), "an integer"),
@@ -115,6 +116,20 @@ class CalibrationResult:
             grid_size=_json_value(rec, "grid_size", (int, type(None)), "an integer or null"),
             scorer_id=_json_value(rec, "scorer_id", (str, type(None)), "a string or null"),
         )
+        size = res.grid_size
+        for key, ok, what in (
+            ("lambda_hat", 0.0 <= res.lambda_hat <= 1.0, "in [0, 1]"),
+            ("alpha", 0.0 < res.alpha < 1.0, "in (0, 1)"),
+            ("n", res.n >= 1, ">= 1"),
+            ("adjusted_bound", math.isfinite(res.adjusted_bound), "finite"),
+            ("mode", res.mode in (MODE_EXACT, MODE_GRID), "'exact' or 'grid'"),
+            ("grid_size", size is None if res.mode == MODE_EXACT else (size or 0) >= 2,
+             "null in exact mode and an integer >= 2 in grid mode"),
+        ):
+            if not ok:
+                value = getattr(res, key)
+                raise ValueError(f"calibration field {key!r} must be {what}, got {value!r}")
+        return res
 
 
 def _json_value(rec: dict[str, Any], key: str, types: tuple[type, ...], what: str) -> Any:
@@ -313,6 +328,21 @@ def calibrate_grid(
     """
     g = _check_grid(uniform_grid() if grid is None else grid)
     return _first_feasible(_as_step(examples), g, alpha, MODE_GRID, int(g.size), scorer_id)
+
+
+def calibrate_mode(
+    examples: Scored | RiskStep,
+    alpha: float,
+    mode: str,
+    grid_size: int | None = DEFAULT_GRID_SIZE,
+    scorer_id: str | None = None,
+) -> CalibrationResult:
+    """``calibrate_exact``, or ``calibrate_grid`` on the uniform grid of ``grid_size`` points."""
+    if mode == MODE_EXACT:
+        return calibrate_exact(examples, alpha, scorer_id)
+    if mode != MODE_GRID:
+        raise ValueError(f"mode must be 'exact' or 'grid', got {mode!r}")
+    return calibrate_grid(examples, alpha, uniform_grid(grid_size), scorer_id)
 
 
 def risk_curve(

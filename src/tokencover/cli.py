@@ -21,16 +21,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .calibrate import (
-    DEFAULT_GRID_SIZE,
-    CalibrationResult,
-    RiskStep,
-    adjusted_bound,
-    calibrate_exact,
-    calibrate_grid,
-    risk_curve,
-    uniform_grid,
-)
+from .calibrate import (DEFAULT_GRID_SIZE, CalibrationResult, RiskStep, calibrate_mode,
+                        risk_curve, uniform_grid)
 from .core import DatasetError, ImportanceScores, load_dataset
 from .robust import (DEFAULT_ENUMERATION_BUDGET, BallBudgetError, BallSpec, auto_ball_mode,
                      build_robust_set, load_lexicon)
@@ -89,10 +81,6 @@ def parse_scorer_spec(text: str, seed: int) -> ScorerSpec:
     return ScorerSpec(kind=kind.strip(), parameters=params, seed=seed)
 
 
-def _result_json(result: CalibrationResult) -> str:
-    return json.dumps(result.to_dict(), indent=2) + "\n"
-
-
 def _load_calibration(path: str) -> CalibrationResult:
     with open(path, "r", encoding="utf-8") as fh:
         rec = json.load(fh)
@@ -111,13 +99,8 @@ def _cache_dir(args: argparse.Namespace) -> str | None:
 def cmd_calibrate(args: argparse.Namespace) -> int:
     # one risk step serves the calibration and the curve
     step = RiskStep(load_dataset(args.dataset, clamp_scores=args.clamp_scores).arrays)
-    if args.mode == "exact":
-        result = calibrate_exact(step, args.alpha, scorer_id=args.scorer_id)
-    else:
-        result = calibrate_grid(
-            step, args.alpha, grid=uniform_grid(args.grid_size), scorer_id=args.scorer_id
-        )
-    _write_atomic(args.out, _result_json(result))
+    result = calibrate_mode(step, args.alpha, args.mode, args.grid_size, args.scorer_id)
+    _write_atomic(args.out, json.dumps(result.to_dict(), indent=2) + "\n")
     if args.curve_out:
         curve = risk_curve(step, uniform_grid(args.grid_size))
         rows = "\n".join(f"{t!r},{r!r},{n}" for t, r, n in curve.rows())
@@ -218,6 +201,9 @@ def _simulate_runs(args: argparse.Namespace) -> tuple[SyntheticConfig, list[dict
         for i, r in enumerate(runs):
             if not isinstance(r, dict):
                 raise ValueError(f"{args.config}: run {i} must be an object, got {r!r}")
+            unknown = sorted(set(r) - set(_RUN_TYPES))
+            if unknown:
+                raise ValueError(f"{args.config}: run {i} has unknown key(s) {unknown}")
             if "alpha" not in r:
                 raise ValueError(f"{args.config}: every run needs an 'alpha'")
             for key, (types, what) in _RUN_TYPES.items():
@@ -276,38 +262,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     arrays = load_dataset(args.dataset, clamp_scores=args.clamp_scores).arrays
     result = _load_calibration(args.calibration)
-    problems: list[str] = []
-    if result.n != len(arrays):
-        problems.append(f"calibration n={result.n} but dataset has {len(arrays)} examples")
-    expected_bound = adjusted_bound(result.alpha, result.n)
-    if result.adjusted_bound != expected_bound:
-        problems.append(
-            f"adjusted_bound={result.adjusted_bound!r} but alpha={result.alpha}, "
-            f"n={result.n} give {expected_bound!r}"
-        )
-    # one step reports the risk and makes the exact-at-ties decision of calibration
+    # calibrating the dataset again, at the file's alpha and in its mode, must give the file
     step = RiskStep(arrays)
+    redone = calibrate_mode(step, result.alpha, result.mode, result.grid_size, result.scorer_id)
+    given = result.to_dict()
+    problems = [f"{key}={given[key]!r} but calibrating the dataset at alpha={result.alpha} "
+                f"in {result.mode} mode gives {want!r}"
+                for key, want in redone.to_dict().items() if given[key] != want]
     recomputed = float(step.risks([result.lambda_hat])[0])
-    if result.feasible:
-        if not step.within([result.lambda_hat], expected_bound)[0]:
-            problems.append(
-                f"empirical risk at lambda_hat is {recomputed!r}, above the bound {expected_bound!r}"
-            )
-    else:
-        if result.lambda_hat != 1.0:
-            problems.append(f"infeasible result must have lambda_hat=1, got {result.lambda_hat!r}")
-        if expected_bound >= 0.0:
-            problems.append(
-                f"result claims infeasibility but the bound {expected_bound!r} is non-negative"
-            )
     sizes = _set_stats(arrays.scores, arrays.offsets, arrays.truth, result.lambda_hat)[1]
     sizes = sorted(sizes.tolist())
     payload = {
-        "lambda_hat": result.lambda_hat,
-        "alpha": result.alpha,
-        "n": result.n,
-        "adjusted_bound": result.adjusted_bound,
-        "feasible": result.feasible,
+        **{key: given[key] for key in ("lambda_hat", "alpha", "n", "adjusted_bound", "feasible")},
         "recomputed_risk": recomputed,
         "bound_satisfied": not problems,
         "problems": problems,
@@ -327,7 +293,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         for p in problems:
             print(f"verification failure: {p}", file=sys.stderr)
         return EXIT_VERIFY
-    print(f"verified: risk {recomputed!r} within bound {expected_bound!r}")
+    print(f"verified: risk {recomputed!r} within bound {result.adjusted_bound!r}")
     return EXIT_OK
 
 

@@ -111,6 +111,7 @@ def load_lexicon(path: str | Path) -> SynonymLexicon:
     """Read a JSON Lines lexicon: one {"token", "synonyms"} object per line."""
     path = Path(path)
     entries: dict[str, list[str]] = {}
+    first_line: dict[str, int] = {}
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -126,7 +127,10 @@ def load_lexicon(path: str | Path) -> SynonymLexicon:
                 raise ValueError(f"{path}: line {lineno}: 'token' must be a non-empty string")
             if not isinstance(syns, list) or not all(isinstance(s, str) for s in syns):
                 raise ValueError(f"{path}: line {lineno}: 'synonyms' must be a list of strings")
-            entries[tok] = syns
+            if tok in first_line:
+                raise ValueError(f"{path}: line {lineno}: duplicate token {tok!r}, "
+                                 f"first given on line {first_line[tok]}")
+            first_line[tok], entries[tok] = lineno, syns
     return SynonymLexicon(entries=entries)
 
 

@@ -35,7 +35,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .calibrate import MODE_EXACT, MODE_GRID, RiskStep, calibrate_exact, calibrate_grid
+from .calibrate import MODE_EXACT, MODE_GRID, RiskStep, calibrate_mode
 from .core import Dataset, ScoredArrays, split_dataset
 from .robust import (
     SynonymLexicon,
@@ -250,9 +250,8 @@ def _run_trial(
     """
     dataset = generate_synthetic_dataset(config, seed=trial_seed)
     cal, test = _split_counts(config, dataset, trial_seed)
-    calibrate = calibrate_exact if mode == MODE_EXACT else calibrate_grid
     step = RiskStep(cal.arrays)
-    results = [calibrate(step, a) for a in alphas]
+    results = [calibrate_mode(step, a, mode) for a in alphas]
 
     arrays = test.arrays
     if robust:

@@ -422,6 +422,55 @@ class TestStatsCommand:
         self.tamper(calib, feasible=False)
         assert main(["stats", "--dataset", data_path, "--calibration", str(calib)]) == EXIT_VERIFY
 
+    def stats_problems(self, data_path, calib, capsys):
+        code = main(["stats", "--dataset", data_path, "--calibration", str(calib)])
+        assert code == EXIT_VERIFY
+        return json.loads(capsys.readouterr().out)["problems"]
+
+    @pytest.mark.parametrize("raise_by", [0.1, None], ids=["raised", "to-one"])
+    def test_conservative_lambda_detected(self, workdir, capsys, raise_by):
+        # a larger lambda_hat still meets the bound, but its mode never gives it
+        tmp_path, data_path, _ = workdir
+        _, calib = run_calibrate(tmp_path, data_path)
+        rec = json.loads(calib.read_text())
+        assert rec["feasible"] and rec["lambda_hat"] + 0.1 < 1.0
+        lam = 1.0 if raise_by is None else rec["lambda_hat"] + raise_by
+        self.tamper(calib, lambda_hat=lam)
+        capsys.readouterr()
+        [problem] = self.stats_problems(data_path, calib, capsys)
+        assert problem.startswith(f"lambda_hat={lam!r} but ")
+        assert problem.endswith(f"gives {rec['lambda_hat']!r}")
+
+    def test_other_alpha_with_matching_bound_detected(self, workdir, capsys):
+        tmp_path, data_path, _ = workdir
+        _, calib = run_calibrate(tmp_path, data_path, alpha="0.2")
+        rec = json.loads(calib.read_text())
+        at_03 = calibrate_exact(load_dataset(data_path).arrays, 0.3)
+        assert at_03.lambda_hat != rec["lambda_hat"]
+        self.tamper(calib, alpha=0.3, adjusted_bound=at_03.adjusted_bound)
+        capsys.readouterr()
+        [problem] = self.stats_problems(data_path, calib, capsys)
+        assert problem.startswith(f"lambda_hat={rec['lambda_hat']!r} but ")
+        assert "at alpha=0.3 in exact mode" in problem
+
+    def test_grid_calibration_verifies(self, workdir, capsys):
+        tmp_path, data_path, _ = workdir
+        _, calib = run_calibrate(tmp_path, data_path, extra=["--mode", "grid", "--grid-size", "11"])
+        out = tmp_path / "stats.json"
+        code = main(["stats", "--dataset", data_path, "--calibration", str(calib),
+                     "--out", str(out)])
+        assert code == EXIT_OK, capsys.readouterr().err
+        assert json.loads(out.read_text())["problems"] == []
+
+    def test_other_grid_size_detected(self, workdir, capsys):
+        # re-derived on the file's own grid, so the point of the other grid differs
+        tmp_path, data_path, _ = workdir
+        _, calib = run_calibrate(tmp_path, data_path, extra=["--mode", "grid", "--grid-size", "11"])
+        self.tamper(calib, grid_size=12)
+        capsys.readouterr()
+        [problem] = self.stats_problems(data_path, calib, capsys)
+        assert problem.startswith("lambda_hat=") and "in grid mode gives" in problem
+
 
 class TestModuleEntryPoint:
     def test_full_flow_in_subprocess(self, workdir):

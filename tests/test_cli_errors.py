@@ -28,6 +28,9 @@ PREDICT = ["predict", "--dataset", "{tmp}/data.jsonl", "--calibration", "{tmp}/c
 PREDICT_FILES = {"data.jsonl": DATASET, "calib.json": CALIBRATION}
 PREDICT_CONSTANT = [*PREDICT, "--scorer", "constant:value=0.5"]
 STATS = ["stats", "--dataset", "{tmp}/data.jsonl", "--calibration", "{tmp}/calib.json"]
+ROBUST_PREDICT = ["robust-predict", "--dataset", "{tmp}/data.jsonl", "--calibration",
+                  "{tmp}/calib.json", "--lexicon", "{tmp}/lex.jsonl", "--d", "1",
+                  "--scorer", "constant:value=0.5", "--out", "{tmp}/out.jsonl"]
 
 
 def calibration_files(**changes):
@@ -94,7 +97,37 @@ ROWS = [
     pytest.param([*PREDICT, "--scorer", "remote:max_inflight=4,endpoint=http://127.0.0.1:9"],
                  PREDICT_FILES, EXIT_INPUT, "unknown parameter(s) ['max_inflight']",
                  id="scorer-max-inflight-unknown"),
+    pytest.param(SIMULATE, sim_config(runs=[{"alpha": 0.2, "trails": 3, "robusst": True}]),
+                 EXIT_INPUT, "run 0 has unknown key(s) ['robusst', 'trails']",
+                 id="run-misspelled-keys"),
 ]
+
+# Well-typed calibration fields out of range: each exits 2 before any work.
+OUT_OF_RANGE = [
+    ({"mode": "psychic"}, "'mode' must be 'exact' or 'grid', got 'psychic'", "mode-unknown"),
+    ({"mode": "grid", "grid_size": -5}, "'grid_size' must be null in exact mode and an integer "
+     ">= 2 in grid mode, got -5", "grid-size-negative"),
+    ({"grid_size": -5}, "'grid_size' must be null in exact mode", "grid-size-in-exact-mode"),
+    ({"mode": "grid"}, "an integer >= 2 in grid mode, got None", "grid-size-missing"),
+    ({"mode": "grid", "grid_size": None}, "an integer >= 2 in grid mode, got None",
+     "grid-size-null"),
+    ({"mode": "grid", "grid_size": 1}, "an integer >= 2 in grid mode, got 1", "grid-size-one"),
+    ({"alpha": float("inf")}, "'alpha' must be in (0, 1), got inf", "alpha-infinite"),
+    ({"alpha": 1}, "'alpha' must be in (0, 1), got 1.0", "alpha-one"),
+    ({"n": -3}, "'n' must be >= 1, got -3", "n-negative"),
+    ({"n": 0}, "'n' must be >= 1, got 0", "n-zero"),
+    ({"lambda_hat": 1.5}, "'lambda_hat' must be in [0, 1], got 1.5", "lambda-above-one"),
+    ({"lambda_hat": -0.1}, "'lambda_hat' must be in [0, 1], got -0.1", "lambda-negative"),
+    ({"adjusted_bound": float("nan")}, "'adjusted_bound' must be finite, got nan", "bound-nan"),
+]
+ROWS += [
+    pytest.param(argv, calibration_files(**changes), EXIT_INPUT, message, id=f"{command}-{name}")
+    for command, argv in (("stats", STATS), ("predict", PREDICT_CONSTANT))
+    for changes, message, name in OUT_OF_RANGE
+]
+ROWS.append(pytest.param(ROBUST_PREDICT, {**calibration_files(mode="psychic"), "lex.jsonl": ""},
+                         EXIT_INPUT, "'mode' must be 'exact' or 'grid', got 'psychic'",
+                         id="robust-predict-mode-unknown"))
 
 
 @pytest.mark.parametrize("argv, files, code, message", ROWS)

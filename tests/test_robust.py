@@ -162,6 +162,18 @@ class TestLexicon:
         with pytest.raises(ValueError, match="list of strings"):
             load_lexicon(path)
 
+    def test_load_lexicon_repeated_token_names_both_lines(self, tmp_path):
+        # kept as the last line, the repeat would drop "b" without a word
+        path = tmp_path / "lex.jsonl"
+        path.write_text(
+            '{"token": "a", "synonyms": ["a", "b"]}\n'
+            '{"token": "c", "synonyms": ["c"]}\n'
+            '{"token": "a", "synonyms": ["a", "c"]}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError, match=r"line 3: duplicate token 'a', first given on line 1"):
+            load_lexicon(path)
+
 
 class TestBallSpec:
     def test_negative_radius(self):

@@ -119,6 +119,15 @@ DEFECTS = [
            "src/tokencover/sim.py",
            "[row[key] for row in rows]",
            "[row[key] for row in rows[:-1]]"),
+    Defect("Q", "`stats` accepts a λ̂ above the one the file's α and mode give",
+           "src/tokencover/cli.py",
+           "for key, want in redone.to_dict().items() if given[key] != want]",
+           "for key, want in redone.to_dict().items() if given[key] != want\n"
+           "                and not (key == \"lambda_hat\" and given[key] > want)]"),
+    Defect("V", "`CalibrationResult.from_dict` accepts any mode",
+           "src/tokencover/calibrate.py",
+           '("mode", res.mode in (MODE_EXACT, MODE_GRID), "\'exact\' or \'grid\'"),',
+           '("mode", True, "\'exact\' or \'grid\'"),'),
 ]
 
 
