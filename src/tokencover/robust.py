@@ -39,6 +39,9 @@ BALL_MODES = ("exact", "coordinatewise")
 
 DEFAULT_ENUMERATION_BUDGET = 100_000
 
+# Ball members per ``score_many`` call in exact mode, which bounds its memory
+_SCORE_CHUNK = 4_096
+
 
 class BallBudgetError(ValueError):
     """Raised when a perturbation ball exceeds the enumeration budget."""
@@ -222,15 +225,17 @@ def _iter_ball(question: TokenizedQuestion, lexicon: SynonymLexicon, d: int) -> 
 
 
 def enumerate_ball(
-    question: TokenizedQuestion, lexicon: SynonymLexicon, spec: BallSpec
+    question: TokenizedQuestion, lexicon: SynonymLexicon, spec: BallSpec,
+    size: int | None = None,
 ) -> Iterator[TokenizedQuestion]:
     """All questions within substitution distance d, the question itself first.
 
     Deterministic order: substitution count, then perturbed-position tuples
     lexicographically, then per-position alternatives in sorted order. Raises
     BallBudgetError before yielding anything if the ball exceeds the budget.
+    ``size`` is the ball's size when the caller has computed it already.
     """
-    size = ball_size(question, lexicon, spec)
+    size = ball_size(question, lexicon, spec) if size is None else size
     if size > spec.enumeration_budget:
         raise BallBudgetError(
             f"perturbation ball of question {question.id!r} has {size} members, "
@@ -256,14 +261,17 @@ def robust_scores(
     lexicon: SynonymLexicon,
     spec: BallSpec,
     scorer: _ScorerBase,
+    size: int | None = None,
 ) -> dict[tuple[int, str], float]:
     """Worst-case-best score for every attainable (position, candidate) pair.
 
     Exact mode scores every ball member once and keeps, per pair, the maximum
-    score seen at that position among members carrying the candidate there.
+    score seen at that position among members carrying the candidate there:
+    one ``scorer.score_many`` call per chunk of ``_SCORE_CHUNK`` members, and
+    ``np.maximum.at`` folds each chunk into the running maximum per pair.
     Coordinatewise mode substitutes one token at a time, which is equal to
     the exact maximum whenever the scorer is context-free, and is refused
-    otherwise.
+    otherwise. ``size`` is passed on to ``enumerate_ball``.
     """
     if spec.mode == "coordinatewise":
         if not scorer.context_free:
@@ -273,15 +281,15 @@ def robust_scores(
         positions, candidates = _candidate_pairs(question.tokens, lexicon, spec.d)
         scores = scorer.score_tokens(question, positions, candidates)
         return dict(zip(zip(positions, candidates), scores))
-    best: dict[tuple[int, str], float] = {}
-    for member in enumerate_ball(question, lexicon, spec):
-        values = scorer.score_question(member).values
-        for j, tok in enumerate(member.tokens):
-            key = (j, tok)
-            prev = best.get(key)
-            if prev is None or values[j] > prev:
-                best[key] = values[j]
-    return best
+    members = enumerate_ball(question, lexicon, spec, size)
+    # every pair of the coordinatewise table is attained by some ball member
+    pairs = list(zip(*_candidate_pairs(question.tokens, lexicon, spec.d)))
+    slot = {pair: i for i, pair in enumerate(pairs)}
+    best = np.full(len(pairs), -np.inf)
+    while chunk := list(itertools.islice(members, _SCORE_CHUNK)):
+        slots = [slot[pair] for member in chunk for pair in enumerate(member.tokens)]
+        np.maximum.at(best, slots, scorer.score_many(chunk))
+    return dict(zip(pairs, best.tolist()))
 
 
 def threshold_robust_scores(
@@ -315,10 +323,9 @@ def build_robust_set(
 ) -> RobustUncertaintySet:
     """Score the question's ball and threshold it at the calibrated lambda."""
     _check_scorer_identity(scorer, calibration, strict)
-    table = robust_scores(question, lexicon, spec, scorer)
-    return threshold_robust_scores(
-        question, table, calibration.lambda_hat, ball_size(question, lexicon, spec)
-    )
+    size = ball_size(question, lexicon, spec)
+    table = robust_scores(question, lexicon, spec, scorer, size)
+    return threshold_robust_scores(question, table, calibration.lambda_hat, size)
 
 
 def inject_noise(

@@ -16,6 +16,7 @@ import pytest
 from tokencover.calibrate import CalibrationResult
 from tokencover.core import GroundTruthExplanation, ImportanceScores, TokenizedQuestion
 from tokencover.robust import (
+    _SCORE_CHUNK,
     BallBudgetError,
     BallSpec,
     RobustUncertaintySet,
@@ -33,7 +34,13 @@ from tokencover.robust import (
     plain_set_pairs,
     robust_scores,
 )
-from tokencover.scorer import OracleNoiseScorer, ScorerError, TableScorer
+from tokencover.scorer import (
+    ConstantScorer,
+    OracleNoiseScorer,
+    ScorerError,
+    TableScorer,
+    UniformRandomScorer,
+)
 from tokencover.sets import _kept, build_set
 
 
@@ -303,6 +310,64 @@ class TestRobustScores:
         oracle = OracleNoiseScorer(sigma=0.5, seed=1, truth_by_id={"q0": {0}})
         assert auto_ball_mode(oracle) == "coordinatewise"
         assert auto_ball_mode(TableScorer({("a",): (0.5,)})) == "exact"
+
+
+def per_member_robust_scores(question, lexicon, spec, scorer):
+    """Exact mode as one ``score_question`` call per ball member and one dict
+    update per member position, for checking the chunked fold against."""
+    best = {}
+    for member in enumerate_ball(question, lexicon, spec):
+        values = scorer.score_question(member).values
+        for j, tok in enumerate(member.tokens):
+            key = (j, tok)
+            prev = best.get(key)
+            if prev is None or values[j] > prev:
+                best[key] = values[j]
+    return best
+
+
+def four_scorers(seed, table):
+    """A fresh scorer of each kind whose exact mode folds through ``score_many``."""
+    return [TableScorer(table), ConstantScorer(0.37), UniformRandomScorer(seed),
+            OracleNoiseScorer(sigma=0.5, seed=seed, truth_by_id={"q0": {0}})]
+
+
+class TestChunkedExactScores:
+    def assert_matches_per_member(self, question, lex, d, table, rng):
+        spec, seed = BallSpec(d=d), int(rng.integers(0, 1000))
+        for scorer, reference in zip(four_scorers(seed, table), four_scorers(seed, table)):
+            got = robust_scores(question, lex, spec, scorer)
+            want = per_member_robust_scores(question, lex, spec, reference)
+            assert {k: v.hex() for k, v in got.items()} == \
+                {k: float(v).hex() for k, v in want.items()}, scorer.identity
+            assert scorer.calls == reference.calls == ball_size(question, lex, spec)
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    def test_random_instances_match_per_member_loop(self, d):
+        rng = np.random.default_rng(400 + d)
+        for _ in range(12):
+            question, lex, _, table = random_ball_instance(rng, k_max=5)
+            self.assert_matches_per_member(question, lex, d, table, rng)
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    def test_repeated_token_and_position_without_synonyms(self, d):
+        # "a" sits at positions 0 and 2; "z" has no synonyms
+        lex = group_lexicon(["a", "b", "c"], ["y", "x"])
+        question = q(["a", "z", "a", "x", "b"])
+        rng = np.random.default_rng(410 + d)
+        table = {m: tuple(rng.uniform(0, 1, size=5)) for m in brute_ball(question.tokens, lex, 5)}
+        self.assert_matches_per_member(question, lex, d, table, rng)
+
+    def test_ball_of_several_chunks(self):
+        groups = [[f"t{j}_{i}" for i in range(4)] for j in range(12)]
+        lex = group_lexicon(*groups)
+        question = q([g[0] for g in groups])
+        spec = BallSpec(d=3)
+        assert ball_size(question, lex, spec) > 1.5 * _SCORE_CHUNK
+        rng = np.random.default_rng(420)
+        table = {m.tokens: tuple(rng.uniform(0, 1, size=12))
+                 for m in enumerate_ball(question, lex, spec)}
+        self.assert_matches_per_member(question, lex, 3, table, rng)
 
 
 class TestBuildRobustSet:

@@ -25,8 +25,10 @@ from tokencover.scorer import (
     ScorerSpec,
     TableScorer,
     UniformRandomScorer,
+    _cache_keys,
     _normal_deviates,
     _oracle_scores,
+    _ScorerBase,
     _unit_uniforms,
     cache_key,
     make_scorer,
@@ -199,6 +201,67 @@ class TestUniformRandom:
     def test_score_tokens_refused(self):
         with pytest.raises(ScorerError, match="context-free"):
             UniformRandomScorer(seed=1).score_tokens(q(["a"]), [0], ["a"])
+
+    def test_matches_the_per_position_formula(self):
+        # the score at j is the unit uniform of sha256("seed|cache_key|j")
+        question = q([f"t{j}" for j in range(12)], prompt='naïve "p"')
+        key = cache_key(question.prompt, question.tokens, "uniform_random(seed=5)")
+        want = [(int.from_bytes(hashlib.sha256(f"5|{key}|{j}".encode()).digest()[:8], "big")
+                 + 0.5) / 2.0**64 for j in range(12)]
+        assert UniformRandomScorer(seed=5).score_question(question).values == tuple(want)
+
+
+# Mixed token counts and prompts with quotes, backslashes and non-ASCII text;
+# questions 0 and 3 share a prompt, so its JSON prefix is hashed once.
+BATCH = [
+    q(["a", "b", "c"], qid="q0", prompt='say "why"'),
+    q(["x"], qid="q1", prompt="back\\slash \\n"),
+    q(["é", "ß", "日本", "a b", '"'], qid="q2", prompt="naïve — café ✓"),
+    q(["c", "a"], qid="q3", prompt='say "why"'),
+    q(["\\", "tab\t", "z", "y", "x", "w", "v"], qid="q4", prompt=""),
+]
+BATCH_TRUTH = {"q0": {0, 2}, "q1": {0}, "q2": {1, 4}, "q3": {1}, "q4": {3}}
+
+
+class TestScoreMany:
+    @pytest.mark.parametrize("make", [
+        lambda: UniformRandomScorer(seed=11),
+        lambda: OracleNoiseScorer(sigma=0.4, seed=11, truth_by_id=BATCH_TRUTH),
+        lambda: OracleNoiseScorer(sigma=0.0, seed=11, truth_by_id=BATCH_TRUTH),
+    ], ids=["uniform_random", "oracle_noise", "oracle_noise-sigma0"])
+    def test_bit_equal_to_score_question(self, make):
+        one, many = make(), make()
+        want = [v for question in BATCH for v in one.score_question(question).values]
+        got = many.score_many(BATCH)
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+        assert many.calls == one.calls == len(BATCH)
+        assert many.score_many(BATCH[1:3]).size == 6
+        assert many.calls == len(BATCH) + 2
+
+    def test_prefix_hashed_keys_are_cache_keys(self):
+        for identity in ("uniform_random(seed=11)", 'odd "id" é'):
+            assert _cache_keys(BATCH, identity) == [
+                cache_key(question.prompt, question.tokens, identity) for question in BATCH
+            ]
+
+    def test_base_rejects_a_short_score_vector(self):
+        class Short(_ScorerBase):
+            identity = "short"
+
+            def score_question(self, question):
+                self.calls += 1
+                return ImportanceScores((0.5,) * (len(question.tokens) - 1))
+
+        scorer = Short()
+        with pytest.raises(ScorerError, match="scores length 2 does not match 3 tokens"):
+            scorer.score_many([q(["a", "b", "c"])])
+
+    def test_base_concatenates_in_question_order(self):
+        scorer = TableScorer({("a", "b"): (0.1, 0.9), ("c",): (0.4,)})
+        got = scorer.score_many([q(["c"]), q(["a", "b"]), q(["c"])])
+        assert got.tolist() == [0.4, 0.1, 0.9, 0.4]
+        assert scorer.calls == 3
 
 
 class TestConstantAndTable:

@@ -128,6 +128,14 @@ DEFECTS = [
            "src/tokencover/calibrate.py",
            '("mode", res.mode in (MODE_EXACT, MODE_GRID), "\'exact\' or \'grid\'"),',
            '("mode", True, "\'exact\' or \'grid\'"),'),
+    Defect("W", "the exact-mode chunk fold assigns scores instead of taking the maximum",
+           "src/tokencover/robust.py",
+           "np.maximum.at(best, slots, scorer.score_many(chunk))",
+           "best[slots] = scorer.score_many(chunk)"),
+    Defect("Y", "the prefix-hashed cache key drops the scorer-identity tail",
+           "src/tokencover/scorer.py",
+           'tail = "]," + encode_basestring(scorer_identity) + "]"',
+           'tail = "]]"'),
 ]
 
 
