@@ -225,17 +225,15 @@ def _iter_ball(question: TokenizedQuestion, lexicon: SynonymLexicon, d: int) -> 
 
 
 def enumerate_ball(
-    question: TokenizedQuestion, lexicon: SynonymLexicon, spec: BallSpec,
-    size: int | None = None,
+    question: TokenizedQuestion, lexicon: SynonymLexicon, spec: BallSpec
 ) -> Iterator[TokenizedQuestion]:
     """All questions within substitution distance d, the question itself first.
 
     Deterministic order: substitution count, then perturbed-position tuples
     lexicographically, then per-position alternatives in sorted order. Raises
     BallBudgetError before yielding anything if the ball exceeds the budget.
-    ``size`` is the ball's size when the caller has computed it already.
     """
-    size = ball_size(question, lexicon, spec) if size is None else size
+    size = ball_size(question, lexicon, spec)
     if size > spec.enumeration_budget:
         raise BallBudgetError(
             f"perturbation ball of question {question.id!r} has {size} members, "
@@ -261,7 +259,6 @@ def robust_scores(
     lexicon: SynonymLexicon,
     spec: BallSpec,
     scorer: _ScorerBase,
-    size: int | None = None,
 ) -> dict[tuple[int, str], float]:
     """Worst-case-best score for every attainable (position, candidate) pair.
 
@@ -271,7 +268,7 @@ def robust_scores(
     ``np.maximum.at`` folds each chunk into the running maximum per pair.
     Coordinatewise mode substitutes one token at a time, which is equal to
     the exact maximum whenever the scorer is context-free, and is refused
-    otherwise. ``size`` is passed on to ``enumerate_ball``.
+    otherwise.
     """
     if spec.mode == "coordinatewise":
         if not scorer.context_free:
@@ -281,7 +278,7 @@ def robust_scores(
         positions, candidates = _candidate_pairs(question.tokens, lexicon, spec.d)
         scores = scorer.score_tokens(question, positions, candidates)
         return dict(zip(zip(positions, candidates), scores))
-    members = enumerate_ball(question, lexicon, spec, size)
+    members = enumerate_ball(question, lexicon, spec)
     # every pair of the coordinatewise table is attained by some ball member
     pairs = list(zip(*_candidate_pairs(question.tokens, lexicon, spec.d)))
     slot = {pair: i for i, pair in enumerate(pairs)}
@@ -323,9 +320,10 @@ def build_robust_set(
 ) -> RobustUncertaintySet:
     """Score the question's ball and threshold it at the calibrated lambda."""
     _check_scorer_identity(scorer, calibration, strict)
-    size = ball_size(question, lexicon, spec)
-    table = robust_scores(question, lexicon, spec, scorer, size)
-    return threshold_robust_scores(question, table, calibration.lambda_hat, size)
+    table = robust_scores(question, lexicon, spec, scorer)
+    return threshold_robust_scores(
+        question, table, calibration.lambda_hat, ball_size(question, lexicon, spec)
+    )
 
 
 def inject_noise(

@@ -8,9 +8,8 @@ and the content being scored, never from global state, so repeated calls are
 reproducible. All oracle noise comes from one batched rule, ``_oracle_scores``.
 
 ``score_many`` scores many questions into one flat array, one call each. The
-base version calls ``score_question`` per question; the uniform scorer and
-the oracle override it with one batch through the rule their
-``score_question`` uses.
+base version calls ``score_question`` per question; the uniform scorer
+overrides it with one batch of the digest rule its ``score_question`` uses.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from hashlib import sha256
-from json.encoder import encode_basestring
 from pathlib import Path
 from statistics import NormalDist
 from typing import Any, Iterable, Mapping, Sequence
@@ -55,24 +53,6 @@ def cache_key(prompt: str, tokens: Sequence[str], scorer_identity: str) -> Score
         [prompt, list(tokens), scorer_identity], ensure_ascii=False, separators=(",", ":")
     )
     return sha256(payload.encode("utf-8")).hexdigest()
-
-
-def _cache_keys(questions: Sequence[TokenizedQuestion], scorer_identity: str) -> list[ScoreCacheKey]:
-    """``cache_key`` of each question, from the same JSON bytes: the sha256 of
-    the prefix ``[<prompt>,`` is taken once per distinct prompt and copied per
-    question, which then adds only its tokens and the identity."""
-    tail = "]," + encode_basestring(scorer_identity) + "]"
-    heads: dict[str, Any] = {}
-    keys = []
-    for question in questions:
-        head = heads.get(question.prompt)
-        if head is None:
-            head = heads[question.prompt] = sha256(
-                ("[" + encode_basestring(question.prompt) + ",").encode("utf-8"))
-        h = head.copy()
-        h.update(("[" + ",".join(map(encode_basestring, question.tokens)) + tail).encode("utf-8"))
-        keys.append(h.hexdigest())
-    return keys
 
 
 def _unit_uniforms(digests: bytes) -> np.ndarray:
@@ -154,13 +134,6 @@ class _ScorerBase:
         raise ScorerError(f"scorer {self.identity!r} is not context-free")
 
 
-def _check_truth(truth: frozenset[int], k: int) -> frozenset[int]:
-    for j in truth:
-        if not 0 <= j < k:
-            raise ScorerError(f"ground-truth index {j} outside [0, {k})")
-    return truth
-
-
 def oracle_noise_score(
     truth_indices: Iterable[int],
     tokens: Sequence[str],
@@ -176,8 +149,11 @@ def oracle_noise_score(
     """
     if not 0.0 <= sigma < float("inf"):  # NaN fails both
         raise ScorerError(f"sigma must be finite and >= 0, got {sigma}")
+    truth = frozenset(map(int, truth_indices))
     k = len(tokens)
-    truth = _check_truth(frozenset(map(int, truth_indices)), k)
+    for j in truth:
+        if not 0 <= j < k:
+            raise ScorerError(f"ground-truth index {j} outside [0, {k})")
     return ImportanceScores(tuple(_oracle_scores(
         map(truth.__contains__, range(k)), sigma, seed, range(k), tokens
     )))
@@ -213,20 +189,6 @@ class OracleNoiseScorer(_ScorerBase):
     def score_question(self, question: TokenizedQuestion) -> ImportanceScores:
         self.calls += 1
         return oracle_noise_score(self._truth(question.id), question.tokens, self.sigma, self.seed)
-
-    def score_many(self, questions: Sequence[TokenizedQuestion]) -> np.ndarray:
-        self.calls += len(questions)
-        in_truth: list[bool] = []
-        positions: list[int] = []
-        tokens: list[str] = []
-        for question in questions:
-            k = len(question.tokens)
-            truth = _check_truth(self._truth(question.id), k)
-            in_truth.extend(map(truth.__contains__, range(k)))
-            positions.extend(range(k))
-            tokens.extend(question.tokens)
-        return np.array(_oracle_scores(in_truth, self.sigma, self.seed, positions, tokens),
-                        dtype=np.float64)
 
     def score_tokens(self, question: TokenizedQuestion, positions: Sequence[int],
                      tokens: Sequence[str]) -> list[float]:
@@ -293,9 +255,10 @@ class UniformRandomScorer(_ScorerBase):
 
     def score_many(self, questions: Sequence[TokenizedQuestion]) -> np.ndarray:
         self.calls += len(questions)
-        keys = _cache_keys(questions, self.identity)
-        return _unit_uniforms(b"".join([self._digests(key, len(question.tokens))
-                                        for key, question in zip(keys, questions)]))
+        return _unit_uniforms(b"".join([
+            self._digests(cache_key(question.prompt, question.tokens, self.identity),
+                          len(question.tokens))
+            for question in questions]))
 
 
 class TableScorer(_ScorerBase):

@@ -25,7 +25,6 @@ from tokencover.scorer import (
     ScorerSpec,
     TableScorer,
     UniformRandomScorer,
-    _cache_keys,
     _normal_deviates,
     _oracle_scores,
     _ScorerBase,
@@ -212,7 +211,7 @@ class TestUniformRandom:
 
 
 # Mixed token counts and prompts with quotes, backslashes and non-ASCII text;
-# questions 0 and 3 share a prompt, so its JSON prefix is hashed once.
+# questions 0 and 3 share a prompt.
 BATCH = [
     q(["a", "b", "c"], qid="q0", prompt='say "why"'),
     q(["x"], qid="q1", prompt="back\\slash \\n"),
@@ -238,12 +237,6 @@ class TestScoreMany:
         assert many.calls == one.calls == len(BATCH)
         assert many.score_many(BATCH[1:3]).size == 6
         assert many.calls == len(BATCH) + 2
-
-    def test_prefix_hashed_keys_are_cache_keys(self):
-        for identity in ("uniform_random(seed=11)", 'odd "id" é'):
-            assert _cache_keys(BATCH, identity) == [
-                cache_key(question.prompt, question.tokens, identity) for question in BATCH
-            ]
 
     def test_base_rejects_a_short_score_vector(self):
         class Short(_ScorerBase):

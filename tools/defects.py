@@ -132,10 +132,10 @@ DEFECTS = [
            "src/tokencover/robust.py",
            "np.maximum.at(best, slots, scorer.score_many(chunk))",
            "best[slots] = scorer.score_many(chunk)"),
-    Defect("Y", "the prefix-hashed cache key drops the scorer-identity tail",
+    Defect("X", "the uniform scorer's `score_many` counts one call per batch, not per question",
            "src/tokencover/scorer.py",
-           'tail = "]," + encode_basestring(scorer_identity) + "]"',
-           'tail = "]]"'),
+           "self.calls += len(questions)",
+           "self.calls += 1"),
 ]
 
 
