@@ -41,6 +41,8 @@ if TYPE_CHECKING:
     from .sets import UncertaintySet
 
 DEFAULT_GRID_SIZE = 1001
+# The largest uniform grid: grid calibration holds about 41 bytes per point
+MAX_GRID_SIZE = 10_000_000
 
 MODE_EXACT = "exact"
 MODE_GRID = "grid"
@@ -125,6 +127,7 @@ class CalibrationResult:
             ("mode", res.mode in (MODE_EXACT, MODE_GRID), "'exact' or 'grid'"),
             ("grid_size", size is None if res.mode == MODE_EXACT else (size or 0) >= 2,
              "null in exact mode and an integer >= 2 in grid mode"),
+            ("grid_size", (size or 0) <= MAX_GRID_SIZE, f"at most {MAX_GRID_SIZE}"),
         ):
             if not ok:
                 value = getattr(res, key)
@@ -298,8 +301,8 @@ def calibrate_exact(
 
 def uniform_grid(size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
     """Evenly spaced thresholds over [0, 1], endpoints included."""
-    if size < 2:
-        raise ValueError(f"grid size must be >= 2, got {size}")
+    if not 2 <= size <= MAX_GRID_SIZE:
+        raise ValueError(f"grid size must be >= 2 and at most {MAX_GRID_SIZE}, got {size}")
     return np.linspace(0.0, 1.0, size)
 
 

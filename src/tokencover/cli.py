@@ -15,15 +15,12 @@ import os
 import statistics
 import sys
 import tempfile
-from itertools import chain
 from pathlib import Path
 from typing import Any, Sequence
 
-import numpy as np
-
 from .calibrate import (DEFAULT_GRID_SIZE, CalibrationResult, RiskStep, calibrate_mode,
                         risk_curve, uniform_grid)
-from .core import DatasetError, ImportanceScores, load_dataset
+from .core import DatasetError, load_dataset
 from .robust import (DEFAULT_ENUMERATION_BUDGET, BallBudgetError, BallSpec, auto_ball_mode,
                      build_robust_set, load_lexicon)
 from .scorer import ScorerError, ScorerSpec, make_scorer, truth_map
@@ -113,29 +110,17 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _flat_scores(scored: list[ImportanceScores], offsets: np.ndarray) -> np.ndarray:
-    """The scores of all questions as one float64 array aligned with ``offsets``."""
-    lengths = np.fromiter(map(len, scored), dtype=np.int64, count=len(scored))
-    tokens = np.diff(offsets)
-    wrong = np.flatnonzero(lengths != tokens)
-    if wrong.size:
-        i = wrong[0]
-        raise ValueError(f"scores length {lengths[i]} does not match {tokens[i]} tokens")
-    return np.fromiter(chain.from_iterable(sc.values for sc in scored), dtype=np.float64,
-                       count=int(offsets[-1]))
-
-
 def cmd_predict(args: argparse.Namespace) -> int:
+    """Score every question in chunks (``sets._score_batch``) and threshold the
+    flat scores at the calibrated lambda with the flat set rule."""
     dataset = load_dataset(args.dataset, clamp_scores=args.clamp_scores)
     arrays = dataset.arrays
     calibration = _load_calibration(args.calibration)
     spec = parse_scorer_spec(args.scorer, args.seed)
     scorer = make_scorer(spec, truth_by_id=truth_map(dataset), cache_dir=_cache_dir(args))
-    scored = _score_batch(arrays.questions(), scorer, calibration, args.strict, args.workers)
+    scores = _score_batch(arrays.questions(), scorer, calibration, args.strict, args.workers)
     lam = calibration.lambda_hat
-    kept, sizes, losses = _set_stats(
-        _flat_scores(scored, arrays.offsets), arrays.offsets, arrays.truth, lam
-    )
+    kept, sizes, losses = _set_stats(scores, arrays.offsets, arrays.truth, lam)
     encode = json.JSONEncoder(ensure_ascii=False).encode
     lines = []
     for rid, tokens, indices in zip(arrays.ids, arrays.tokens, arrays.positions(kept)):

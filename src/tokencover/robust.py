@@ -32,15 +32,12 @@ import numpy as np
 
 from .calibrate import CalibrationResult
 from .core import GroundTruthExplanation, TokenizedQuestion
-from .scorer import ScorerError, _ScorerBase
+from .scorer import _SCORE_CHUNK, ScorerError, _ScorerBase
 from .sets import UncertaintySet, _check_scorer_identity, _kept
 
 BALL_MODES = ("exact", "coordinatewise")
 
 DEFAULT_ENUMERATION_BUDGET = 100_000
-
-# Ball members per ``score_many`` call in exact mode, which bounds its memory
-_SCORE_CHUNK = 4_096
 
 
 class BallBudgetError(ValueError):

@@ -7,9 +7,10 @@ persistent disk cache. Stochastic kinds derive all randomness from their seed
 and the content being scored, never from global state, so repeated calls are
 reproducible. All oracle noise comes from one batched rule, ``_oracle_scores``.
 
-``score_many`` scores many questions into one flat array, one call each. The
-base version calls ``score_question`` per question; the uniform scorer
-overrides it with one batch of the digest rule its ``score_question`` uses.
+``score_many`` scores a chunk of at most ``_SCORE_CHUNK`` questions into one
+flat array, one call each. The base version calls ``score_question`` per
+question; the uniform and oracle scorers override it with one batch of the
+rule their ``score_question`` uses.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ SCORER_KINDS = ("oracle_noise", "uniform_random", "constant", "remote")
 
 _NORMAL = NormalDist()
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
+
+# Questions (or ball members) per ``score_many`` call, which bounds its memory
+_SCORE_CHUNK = 1_024
 
 
 class ScorerError(ValueError):
@@ -149,14 +153,17 @@ def oracle_noise_score(
     """
     if not 0.0 <= sigma < float("inf"):  # NaN fails both
         raise ScorerError(f"sigma must be finite and >= 0, got {sigma}")
-    truth = frozenset(map(int, truth_indices))
     k = len(tokens)
+    in_truth = _truth_mask(frozenset(map(int, truth_indices)), k)
+    return ImportanceScores(tuple(_oracle_scores(in_truth, sigma, seed, range(k), tokens)))
+
+
+def _truth_mask(truth: frozenset[int], k: int) -> list[bool]:
+    """Whether each position j < k is in ``truth``, which must lie in [0, k)."""
     for j in truth:
         if not 0 <= j < k:
             raise ScorerError(f"ground-truth index {j} outside [0, {k})")
-    return ImportanceScores(tuple(_oracle_scores(
-        map(truth.__contains__, range(k)), sigma, seed, range(k), tokens
-    )))
+    return [j in truth for j in range(k)]
 
 
 class OracleNoiseScorer(_ScorerBase):
@@ -189,6 +196,15 @@ class OracleNoiseScorer(_ScorerBase):
     def score_question(self, question: TokenizedQuestion) -> ImportanceScores:
         self.calls += 1
         return oracle_noise_score(self._truth(question.id), question.tokens, self.sigma, self.seed)
+
+    def score_many(self, questions: Sequence[TokenizedQuestion]) -> np.ndarray:
+        # every question's truth is checked before any is hashed
+        masks = [_truth_mask(self._truth(q.id), len(q.tokens)) for q in questions]
+        self.calls += len(questions)
+        return np.array(_oracle_scores(
+            [m for mask in masks for m in mask], self.sigma, self.seed,
+            [j for q in questions for j in range(len(q.tokens))],
+            [tok for q in questions for tok in q.tokens]), dtype=np.float64)
 
     def score_tokens(self, question: TokenizedQuestion, positions: Sequence[int],
                      tokens: Sequence[str]) -> list[float]:

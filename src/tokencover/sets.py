@@ -22,7 +22,7 @@ import numpy as np
 
 from .calibrate import CalibrationResult, loss
 from .core import GroundTruthExplanation, ImportanceScores, TokenizedQuestion
-from .scorer import RemoteScorer, ScorerError, _ScorerBase
+from .scorer import _SCORE_CHUNK, RemoteScorer, ScorerError, _ScorerBase
 
 
 @dataclass(frozen=True)
@@ -138,18 +138,26 @@ def _score_batch(
     calibration: CalibrationResult,
     strict: bool,
     workers: int,
-) -> list[ImportanceScores]:
-    """Each question's scores, in input order.
+) -> np.ndarray:
+    """The scores of all questions as one flat float64 array, in input order.
 
-    Only a remote scorer with ``workers > 1`` uses threads, since only its
-    network waits overlap: cache hits are answered in the calling thread,
-    and each distinct missed question is fetched once on a pool of
-    ``workers`` threads. A question repeated among the misses is then a memo
-    hit, as in a serial pass, so ``calls`` and ``cache_hits`` match one.
+    ``score_many`` scores ``_SCORE_CHUNK`` questions per call. Only a remote
+    scorer with ``workers > 1`` uses threads, since only its network waits
+    overlap: cache hits are answered in the calling thread, and each distinct
+    missed question is fetched once on a pool of ``workers`` threads. A
+    question repeated among the misses is then a memo hit, as in a serial
+    pass, so ``calls`` and ``cache_hits`` match one. ``score_many``, and the
+    remote scorer's ``lookup`` and ``fetch``, check each score vector's length.
     """
     _check_scorer_identity(scorer, calibration, strict)
     if workers <= 1 or not isinstance(scorer, RemoteScorer):
-        return [scorer.score_question(q) for q in questions]
+        flat = np.empty(sum(len(q.tokens) for q in questions))
+        end = 0
+        for start in range(0, len(questions), _SCORE_CHUNK):
+            block = scorer.score_many(questions[start:start + _SCORE_CHUNK])
+            flat[end:end + block.size] = block
+            end += block.size
+        return flat
     scored = [scorer.lookup(q) for q in questions]
     misses: dict[tuple[str, tuple[str, ...]], int] = {}
     for i, (q, sc) in enumerate(zip(questions, scored)):
@@ -159,7 +167,8 @@ def _score_batch(
         fetched = pool.map(scorer.fetch, [questions[i] for i in misses.values()])
         for i, sc in zip(misses.values(), fetched):
             scored[i] = sc
-    return [scorer.score_question(q) if sc is None else sc for q, sc in zip(questions, scored)]
+    scored = [scorer.score_question(q) if sc is None else sc for q, sc in zip(questions, scored)]
+    return np.array([v for sc in scored for v in sc.values], dtype=np.float64)
 
 
 def evaluate(

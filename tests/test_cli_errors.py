@@ -27,6 +27,8 @@ PREDICT = ["predict", "--dataset", "{tmp}/data.jsonl", "--calibration", "{tmp}/c
            "--out", "{tmp}/out.jsonl"]
 PREDICT_FILES = {"data.jsonl": DATASET, "calib.json": CALIBRATION}
 PREDICT_CONSTANT = [*PREDICT, "--scorer", "constant:value=0.5"]
+CALIBRATE = ["calibrate", "--dataset", "{tmp}/data.jsonl", "--alpha", "0.2",
+             "--out", "{tmp}/calib-out.json"]
 STATS = ["stats", "--dataset", "{tmp}/data.jsonl", "--calibration", "{tmp}/calib.json"]
 ROBUST_PREDICT = ["robust-predict", "--dataset", "{tmp}/data.jsonl", "--calibration",
                   "{tmp}/calib.json", "--lexicon", "{tmp}/lex.jsonl", "--d", "1",
@@ -100,6 +102,13 @@ ROWS = [
     pytest.param(SIMULATE, sim_config(runs=[{"alpha": 0.2, "trails": 3, "robusst": True}]),
                  EXIT_INPUT, "run 0 has unknown key(s) ['robusst', 'trails']",
                  id="run-misspelled-keys"),
+    pytest.param([*CALIBRATE, "--mode", "grid", "--grid-size", "10000001"], PREDICT_FILES,
+                 EXIT_INPUT, "grid size must be >= 2 and at most 10000000, got 10000001",
+                 id="calibrate-grid-size-huge"),
+    pytest.param([*CALIBRATE, "--grid-size", "10000001", "--curve-out", "{tmp}/curve.csv"],
+                 PREDICT_FILES, EXIT_INPUT,
+                 "grid size must be >= 2 and at most 10000000, got 10000001",
+                 id="calibrate-curve-grid-size-huge"),
 ]
 
 # Well-typed calibration fields out of range: each exits 2 before any work.
@@ -112,6 +121,8 @@ OUT_OF_RANGE = [
     ({"mode": "grid", "grid_size": None}, "an integer >= 2 in grid mode, got None",
      "grid-size-null"),
     ({"mode": "grid", "grid_size": 1}, "an integer >= 2 in grid mode, got 1", "grid-size-one"),
+    ({"mode": "grid", "grid_size": 10**9}, "'grid_size' must be at most 10000000, got 1000000000",
+     "grid-size-huge"),
     ({"alpha": float("inf")}, "'alpha' must be in (0, 1), got inf", "alpha-infinite"),
     ({"alpha": 1}, "'alpha' must be in (0, 1), got 1.0", "alpha-one"),
     ({"n": -3}, "'n' must be >= 1, got -3", "n-negative"),

@@ -14,6 +14,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
+from tokencover import scorer as scorer_module
 from tokencover.calibrate import CalibrationResult
 from tokencover.core import ImportanceScores, TokenizedQuestion
 from tokencover.scorer import (
@@ -237,6 +238,21 @@ class TestScoreMany:
         assert many.calls == one.calls == len(BATCH)
         assert many.score_many(BATCH[1:3]).size == 6
         assert many.calls == len(BATCH) + 2
+
+    @pytest.mark.parametrize("bad, message", [
+        (q(["a"], qid="other"), "oracle scorer has no ground truth for question id 'other'"),
+        (q(["a", "b"], qid="q1"), "ground-truth index 5 outside [0, 2)"),
+    ], ids=["unknown-id", "index-out-of-range"])
+    def test_oracle_refuses_like_score_question_before_hashing(self, bad, message, monkeypatch):
+        truth = {"q0": {0}, "q1": {5}}
+        with pytest.raises(ScorerError) as one:
+            OracleNoiseScorer(sigma=0.3, seed=1, truth_by_id=truth).score_question(bad)
+        hashed = []
+        monkeypatch.setattr(scorer_module, "_oracle_scores", lambda *args: hashed.append(args))
+        with pytest.raises(ScorerError) as many:
+            OracleNoiseScorer(sigma=0.3, seed=1, truth_by_id=truth).score_many([q(["a"]), bad])
+        assert str(many.value) == str(one.value) == message
+        assert hashed == []
 
     def test_base_rejects_a_short_score_vector(self):
         class Short(_ScorerBase):
@@ -477,7 +493,7 @@ class TestRemoteScorer:
             scorer.score_question(x)
         state["bodies"].clear()
         got = _score_batch(questions, scorer, UNSTAMPED, strict=False, workers=2)
-        assert got == [ImportanceScores((i / 100, (50 + i) / 100)) for i in range(10)]
+        assert got.tolist() == [v for i in range(10) for v in (i / 100, (50 + i) / 100)]
         misses = [list(x.tokens) for i, x in enumerate(questions) if i % 3]
         assert sorted(b["tokens"] for b in state["bodies"]) == misses
         assert (scorer.calls, scorer.cache_hits) == (10, 4)
@@ -487,7 +503,7 @@ class TestRemoteScorer:
         questions = [q(["7"], qid=f"q{i}") for i in range(3)]
         scorer = RemoteScorer(url, retries=0)
         got = _score_batch(questions, scorer, UNSTAMPED, strict=False, workers=2)
-        assert got == [ImportanceScores((0.07,))] * 3
+        assert got.tolist() == [0.07] * 3
         assert state["requests"] == 1
         assert (scorer.calls, scorer.cache_hits) == (1, 2)
 

@@ -14,7 +14,9 @@ from tokencover.core import (
     ScoredArrays,
     TokenizedQuestion,
 )
-from tokencover.scorer import ConstantScorer, ScorerError, ScorerSpec, make_scorer
+from tokencover import sets as sets_module
+from tokencover.scorer import (_SCORE_CHUNK, ConstantScorer, OracleNoiseScorer, ScorerError,
+                               ScorerSpec, UniformRandomScorer, make_scorer)
 from tokencover.sets import _score_batch, _set_stats, build_set, evaluate, predict
 
 from conftest import make_example, random_example
@@ -22,6 +24,9 @@ from conftest import make_example, random_example
 
 def q(tokens, qid="q0"):
     return TokenizedQuestion(id=qid, tokens=tuple(tokens))
+
+
+CHUNK_TRUTH = {"q0": {0}, "q1": {1}, "q2": {0, 2}, "q3": {3}, "q4": {0}}
 
 
 def calib(lam, scorer_id=None):
@@ -118,13 +123,47 @@ class TestPredictBatch:
         scorer = make_scorer(ScorerSpec(kind="uniform_random", seed=9))
         serial = _score_batch(questions, scorer, calib(0.6), strict=False, workers=1)
         threaded = _score_batch(questions, scorer, calib(0.6), strict=False, workers=4)
-        assert serial == threaded
-        sets = [build_set(x, sc, 0.6) for x, sc in zip(questions, threaded)]
+        assert serial.tobytes() == threaded.tobytes()
+        sets = [build_set(x, ImportanceScores(tuple(sc.tolist())), 0.6)
+                for x, sc in zip(questions, np.split(threaded, len(questions)))]
         assert sets == [predict(x, scorer, calib(0.6)) for x in questions]
         assert [s.question_id for s in sets] == [f"q{i}" for i in range(20)]
 
     def test_empty_input(self):
-        assert _score_batch([], ConstantScorer(0.5), calib(0.5), strict=False, workers=4) == []
+        got = _score_batch([], ConstantScorer(0.5), calib(0.5), strict=False, workers=4)
+        assert got.tolist() == []
+
+    @pytest.mark.parametrize("make", [
+        lambda: UniformRandomScorer(seed=3),
+        lambda: OracleNoiseScorer(sigma=0.4, seed=3, truth_by_id=CHUNK_TRUTH),
+        lambda: OracleNoiseScorer(sigma=0.0, seed=3, truth_by_id=CHUNK_TRUTH),
+        lambda: ConstantScorer(0.25),
+    ], ids=["uniform_random", "oracle_noise", "oracle_noise-sigma0", "constant"])
+    def test_chunks_equal_per_question_scores(self, make, monkeypatch):
+        # five questions of mixed lengths in chunks of two: two full chunks
+        # and a partial last one
+        monkeypatch.setattr(sets_module, "_SCORE_CHUNK", 2)
+        questions = [q(["a", "b", "c", "d"][: 1 + i % 4], qid=f"q{i}") for i in range(5)]
+        scorer, reference = make(), make()
+        sizes = []
+        score_many = scorer.score_many
+        monkeypatch.setattr(scorer, "score_many", lambda chunk: sizes.append(len(chunk))
+                            or score_many(chunk))
+        got = _score_batch(questions, scorer, calib(0.5), strict=False, workers=1)
+        want = [v for x in questions for v in reference.score_question(x).values]
+        assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+        assert sizes == [2, 2, 1]
+        assert scorer.calls == reference.calls == len(questions)
+
+    def test_more_questions_than_one_chunk(self):
+        questions = [q([f"w{i}", "x", f"v{i % 7}"], qid=f"q{i}") for i in range(_SCORE_CHUNK + 3)]
+        truth = {x.id: {i % 3} for i, x in enumerate(questions)}
+        scorer, reference = (OracleNoiseScorer(sigma=0.3, seed=5, truth_by_id=truth)
+                             for _ in range(2))
+        got = _score_batch(questions, scorer, calib(0.5), strict=False, workers=1)
+        want = [v for x in questions for v in reference.score_question(x).values]
+        assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+        assert scorer.calls == len(questions)
 
 
 class TestEvaluate:

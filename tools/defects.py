@@ -134,8 +134,20 @@ DEFECTS = [
            "best[slots] = scorer.score_many(chunk)"),
     Defect("X", "the uniform scorer's `score_many` counts one call per batch, not per question",
            "src/tokencover/scorer.py",
-           "self.calls += len(questions)",
-           "self.calls += 1"),
+           "self.calls += len(questions)\n        return _unit_uniforms",
+           "self.calls += 1\n        return _unit_uniforms"),
+    Defect("Y", "the oracle's `score_many` numbers positions across the chunk, not per question",
+           "src/tokencover/scorer.py",
+           "[j for q in questions for j in range(len(q.tokens))]",
+           "list(range(sum(len(q.tokens) for q in questions)))"),
+    Defect("Z", "`_score_batch` drops the last partial chunk of questions",
+           "src/tokencover/sets.py",
+           "range(0, len(questions), _SCORE_CHUNK)",
+           "range(0, len(questions) - _SCORE_CHUNK + 1, _SCORE_CHUNK)"),
+    Defect("I", "`CalibrationResult.from_dict` accepts a grid size of any magnitude",
+           "src/tokencover/calibrate.py",
+           '("grid_size", (size or 0) <= MAX_GRID_SIZE, f"at most {MAX_GRID_SIZE}"),',
+           ""),
 ]
 
 
