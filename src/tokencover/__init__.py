@@ -18,7 +18,6 @@ from .calibrate import (
 )
 from .core import (
     CalibrationExample,
-    Dataset,
     DatasetError,
     GroundTruthExplanation,
     ImportanceScores,
@@ -71,7 +70,6 @@ __all__ = [
     "CalibrationExample",
     "CalibrationResult",
     "CoverageReport",
-    "Dataset",
     "DatasetError",
     "EvaluationReport",
     "GroundTruthExplanation",

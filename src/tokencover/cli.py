@@ -14,13 +14,12 @@ import json
 import os
 import statistics
 import sys
-import tempfile
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from .calibrate import (DEFAULT_GRID_SIZE, CalibrationResult, RiskStep, calibrate_mode,
                         risk_curve, uniform_grid)
-from .core import DatasetError, load_dataset
+from .core import DatasetError, _write_atomic, load_dataset
 from .robust import (DEFAULT_ENUMERATION_BUDGET, BallBudgetError, BallSpec, auto_ball_mode,
                      build_robust_set, load_lexicon)
 from .scorer import ScorerError, ScorerSpec, make_scorer, truth_map
@@ -41,20 +40,6 @@ def _alpha_arg(text: str) -> float:
     if not 0.0 < v < 1.0:
         raise argparse.ArgumentTypeError(f"alpha must be in (0, 1), got {v}")
     return v
-
-
-def _write_atomic(path: str | Path, text: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def parse_scorer_spec(text: str, seed: int) -> ScorerSpec:
@@ -95,13 +80,11 @@ def _cache_dir(args: argparse.Namespace) -> str | None:
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     # one risk step serves the calibration and the curve
-    step = RiskStep(load_dataset(args.dataset, clamp_scores=args.clamp_scores).arrays)
+    step = RiskStep(load_dataset(args.dataset, clamp_scores=args.clamp_scores))
     result = calibrate_mode(step, args.alpha, args.mode, args.grid_size, args.scorer_id)
     _write_atomic(args.out, json.dumps(result.to_dict(), indent=2) + "\n")
     if args.curve_out:
-        curve = risk_curve(step, uniform_grid(args.grid_size))
-        rows = "\n".join(f"{t!r},{r!r},{n}" for t, r, n in curve.rows())
-        _write_atomic(args.curve_out, "lambda,risk,n\n" + rows + "\n")
+        _write_atomic(args.curve_out, _curve_csv(step, uniform_grid(args.grid_size)))
     print(
         f"calibrated n={result.n} alpha={result.alpha} mode={result.mode}: "
         f"lambda_hat={result.lambda_hat!r} feasible={result.feasible} "
@@ -110,14 +93,25 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Grid points per ``risk_curve`` call, so the curve's rows are built a slice at a time
+_CURVE_CHUNK = 65_536
+
+
+def _curve_csv(step: RiskStep, grid: Sequence[float]) -> Iterator[str]:
+    """The risk curve on ``grid`` as CSV text, yielded one slice of rows at a time."""
+    yield "lambda,risk,n\n"
+    for start in range(0, len(grid), _CURVE_CHUNK):
+        curve = risk_curve(step, grid[start:start + _CURVE_CHUNK])
+        yield "".join(f"{t!r},{r!r},{n}\n" for t, r, n in curve.rows())
+
+
 def cmd_predict(args: argparse.Namespace) -> int:
     """Score every question in chunks (``sets._score_batch``) and threshold the
     flat scores at the calibrated lambda with the flat set rule."""
-    dataset = load_dataset(args.dataset, clamp_scores=args.clamp_scores)
-    arrays = dataset.arrays
+    arrays = load_dataset(args.dataset, clamp_scores=args.clamp_scores)
     calibration = _load_calibration(args.calibration)
     spec = parse_scorer_spec(args.scorer, args.seed)
-    scorer = make_scorer(spec, truth_by_id=truth_map(dataset), cache_dir=_cache_dir(args))
+    scorer = make_scorer(spec, truth_by_id=truth_map(arrays), cache_dir=_cache_dir(args))
     scores = _score_batch(arrays.questions(), scorer, calibration, args.strict, args.workers)
     lam = calibration.lambda_hat
     kept, sizes, losses = _set_stats(scores, arrays.offsets, arrays.truth, lam)
@@ -143,7 +137,7 @@ def cmd_robust_predict(args: argparse.Namespace) -> int:
     mode = auto_ball_mode(scorer) if args.ball_mode == "auto" else args.ball_mode
     ball = BallSpec(d=args.d, enumeration_budget=args.budget, mode=mode)
     lines = []
-    for question in dataset.arrays.questions():
+    for question in dataset.questions():
         calls_before, hits_before = scorer.calls, scorer.cache_hits
         rset = build_robust_set(question, lexicon, ball, scorer, calibration, strict=args.strict)
         rec = {
@@ -245,7 +239,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    arrays = load_dataset(args.dataset, clamp_scores=args.clamp_scores).arrays
+    arrays = load_dataset(args.dataset, clamp_scores=args.clamp_scores)
     result = _load_calibration(args.calibration)
     # calibrating the dataset again, at the file's alpha and in its mode, must give the file
     step = RiskStep(arrays)

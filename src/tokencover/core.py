@@ -4,13 +4,13 @@ A calibration example pairs a tokenized question with per-token importance
 scores in [0, 1] and a ground-truth explanation given as token positions.
 Datasets are stored as JSON Lines, one example per line.
 
-A ``Dataset`` holds one form of its records, ``ScoredArrays``: ids, token
-tuples and answers, plus flat scores, offsets and a truth mask. Loading,
-synthetic generation, splitting, writing and the ground-truth lookup all
-work on the arrays; per-record ``CalibrationExample``s are a view built from
-them on request. ``load_dataset`` reads each line once, checks it and
-appends it to the arrays' flat lists; only a record that fails a check is
-built as a ``CalibrationExample``, to name its error.
+A dataset is one type, ``ScoredArrays``: ids, token tuples and answers, plus
+flat scores, offsets and a truth mask. Loading, synthetic generation,
+splitting, writing and the ground-truth lookup all work on it; per-record
+``CalibrationExample``s are a view built from it on first use.
+``load_dataset`` reads each line once, checks it and appends it to the
+arrays' flat lists; only a record that fails a check is built as a
+``CalibrationExample``, to name its error.
 """
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import random
+import tempfile
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -177,8 +179,10 @@ class ScoredArrays:
         bounds = np.searchsorted(marked, self.offsets).tolist()
         return [local[a:b] for a, b in zip(bounds, bounds[1:])]
 
+    @functools.cached_property
     def examples(self) -> tuple[CalibrationExample, ...]:
-        """One ``CalibrationExample`` per record, built anew on each call."""
+        """One ``CalibrationExample`` per record, built on first use, so a
+        dataset that is only calibrated never builds per-record objects."""
         bounds = self.offsets.tolist()
         values = self.scores.tolist()
         return tuple(
@@ -188,43 +192,6 @@ class ScoredArrays:
             for q, truth, answer, a, b in zip(self.questions(), self.positions(self.truth),
                                               self.answers, bounds, bounds[1:])
         )
-
-
-class Dataset:
-    """An ordered scored dataset, held as ``ScoredArrays``; ``source_path`` is
-    provenance only.
-
-    ``Dataset(examples=...)`` flattens the examples once. ``examples`` is an
-    immutable view, one ``CalibrationExample`` per record, built from the
-    arrays on first use, so a dataset that is only calibrated never builds
-    per-record objects. Two datasets are equal when their examples are.
-    """
-
-    def __init__(
-        self,
-        examples: Iterable[CalibrationExample] | None = None,
-        source_path: str = "",
-        arrays: ScoredArrays | None = None,
-    ):
-        if (examples is None) == (arrays is None):
-            raise TypeError("a Dataset takes examples or arrays, not both or neither")
-        self.arrays = ScoredArrays.from_examples(examples) if arrays is None else arrays
-        self.source_path = source_path
-
-    @functools.cached_property
-    def examples(self) -> tuple[CalibrationExample, ...]:
-        return self.arrays.examples()
-
-    def __len__(self) -> int:
-        return len(self.arrays)
-
-    def __iter__(self):
-        return iter(self.examples)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return self.examples == other.examples
 
 
 def validate_example(example: CalibrationExample) -> list[str]:
@@ -313,7 +280,7 @@ def _clamped(scores: list) -> list:
     return [s if s != s else min(1.0, max(0.0, s)) for s in scores]
 
 
-def load_dataset(path: str | Path, clamp_scores: bool = False) -> Dataset:
+def load_dataset(path: str | Path, clamp_scores: bool = False) -> ScoredArrays:
     """Read a JSON Lines dataset, validating every record.
 
     Each line holds an object with fields ``id``, ``tokens``, ``scores``,
@@ -351,10 +318,9 @@ def load_dataset(path: str | Path, clamp_scores: bool = False) -> Dataset:
             positions.extend(idx)
     if not first_line:
         raise DatasetError(f"{path}: dataset contains no records")
-    arrays = ScoredArrays._pack(list(first_line), tokens, answers,
-                                np.array(scores, dtype=np.float64), list(map(len, tokens)), counts,
-                                np.array(positions, dtype=np.int64))
-    return Dataset(arrays=arrays, source_path=str(path))
+    return ScoredArrays._pack(list(first_line), tokens, answers,
+                              np.array(scores, dtype=np.float64), list(map(len, tokens)), counts,
+                              np.array(positions, dtype=np.int64))
 
 
 def _checked_row(rec: Any, lineno: int, clamp_scores: bool) -> tuple:
@@ -382,10 +348,9 @@ def _checked_row(rec: Any, lineno: int, clamp_scores: bool) -> tuple:
                        + "; ".join(validate_example(example)))
 
 
-def write_dataset(dataset: Dataset, path: str | Path) -> None:
-    """Write a dataset as JSON Lines; load_dataset(write(ds)) == ds exactly."""
+def write_dataset(arrays: ScoredArrays, path: str | Path) -> None:
+    """Write a dataset as JSON Lines; loading the file gives its examples exactly."""
     path = Path(path)
-    arrays = dataset.arrays
     bounds = arrays.offsets.tolist()
     rows = zip(arrays.ids, arrays.tokens, arrays.answers, bounds, bounds[1:],
                arrays.positions(arrays.truth))
@@ -402,7 +367,8 @@ def write_dataset(dataset: Dataset, path: str | Path) -> None:
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
-def split_dataset(dataset: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
+def split_dataset(dataset: ScoredArrays, fraction: float,
+                  seed: int) -> tuple[ScoredArrays, ScoredArrays]:
     """Split into (calibration, holdout) by a uniform random permutation.
 
     ``fraction`` is the share of examples on the calibration side, strictly
@@ -419,8 +385,20 @@ def split_dataset(dataset: Dataset, fraction: float, seed: int) -> tuple[Dataset
         )
     order = list(range(n))
     random.Random(seed).shuffle(order)
-    return (
-        Dataset(arrays=dataset.arrays.take(order[:n_left]), source_path=dataset.source_path),
-        Dataset(arrays=dataset.arrays.take(order[n_left:]), source_path=dataset.source_path),
-    )
+    return dataset.take(order[:n_left]), dataset.take(order[n_left:])
+
+
+def _write_atomic(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write ``text``, or the strings it yields, to a temp file renamed over ``path``."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.writelines([text] if isinstance(text, str) else text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 

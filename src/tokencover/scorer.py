@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import numbers
 import os
-import tempfile
 import threading
 import time
 import warnings
@@ -30,7 +29,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import Dataset, ImportanceScores, TokenizedQuestion
+from .core import ImportanceScores, ScoredArrays, TokenizedQuestion, _write_atomic
 
 ScoreCacheKey = str
 
@@ -333,12 +332,8 @@ class ScoreCache:
             return None
 
     def put(self, key: ScoreCacheKey, scores: Sequence[float]) -> None:
-        payload = json.dumps({"scores": list(scores)})
         try:
-            fd, tmp = tempfile.mkstemp(dir=str(self.root), suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-            os.replace(tmp, self._path(key))
+            _write_atomic(self._path(key), json.dumps({"scores": list(scores)}))
         except OSError as e:
             warnings.warn(f"score cache write failed for {key[:12]}… ({e}); continuing uncached")
 
@@ -492,9 +487,8 @@ class RemoteScorer(_ScorerBase):
         return self.fetch(question) if scores is None else scores
 
 
-def truth_map(dataset: Dataset) -> dict[str, frozenset[int]]:
+def truth_map(arrays: ScoredArrays) -> dict[str, frozenset[int]]:
     """Ground-truth lookup (question id -> explanation indices) for the oracle."""
-    arrays = dataset.arrays
     return dict(zip(arrays.ids, map(frozenset, arrays.positions(arrays.truth))))
 
 

@@ -36,7 +36,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .calibrate import MODE_EXACT, MODE_GRID, RiskStep, calibrate_mode
-from .core import Dataset, ScoredArrays, split_dataset
+from .core import ScoredArrays, split_dataset
 from .robust import (
     SynonymLexicon,
     _candidate_pairs,
@@ -122,7 +122,7 @@ def _scorer_seed(base_seed: int) -> int:
     return _derived_seed(base_seed, 1)
 
 
-def generate_synthetic_dataset(config: SyntheticConfig, seed: int | None = None) -> Dataset:
+def generate_synthetic_dataset(config: SyntheticConfig, seed: int | None = None) -> ScoredArrays:
     """Draw n_calibration + n_test i.i.d. examples.
 
     Token count is uniform on k_range (inclusive); each position is a truth
@@ -130,7 +130,7 @@ def generate_synthetic_dataset(config: SyntheticConfig, seed: int | None = None)
     forced per question. Scores are materialized with the noisy oracle at the
     config's sigma, so re-scoring any question with the matching oracle
     scorer (see ``oracle_scorer``) reproduces them exactly. The draws go
-    straight into the dataset's arrays.
+    straight into the arrays.
     """
     base = config.seed if seed is None else seed
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[base, 0]))
@@ -156,21 +156,19 @@ def generate_synthetic_dataset(config: SyntheticConfig, seed: int | None = None)
         in_truth.extend(mask.tolist())
     scores = _oracle_scores(in_truth, config.sigma, s_seed,
                             chain.from_iterable(map(range, lengths)), chain.from_iterable(tokens))
-    arrays = ScoredArrays._pack([f"q{i}" for i in range(n)], tokens, [None] * n,
-                                np.array(scores, dtype=np.float64), lengths, counts,
-                                np.array(positions, dtype=np.int64))
-    return Dataset(arrays=arrays, source_path=f"synthetic(seed={base})")
+    return ScoredArrays._pack([f"q{i}" for i in range(n)], tokens, [None] * n,
+                              np.array(scores, dtype=np.float64), lengths, counts,
+                              np.array(positions, dtype=np.int64))
 
 
-def oracle_scorer(
-    config: SyntheticConfig, dataset: Dataset, seed: int | None = None
-) -> OracleNoiseScorer:
+def oracle_scorer(config: SyntheticConfig, dataset: ScoredArrays,
+                  seed: int | None = None) -> OracleNoiseScorer:
     """The oracle that materialized the dataset's scores, rebuilt for predict."""
     base = config.seed if seed is None else seed
     return OracleNoiseScorer(config.sigma, _scorer_seed(base), truth_map(dataset))
 
 
-def synthetic_lexicon(dataset: Dataset, fanout: int) -> SynonymLexicon:
+def synthetic_lexicon(dataset: ScoredArrays, fanout: int) -> SynonymLexicon:
     """Give every distinct token ``fanout`` synthetic alternatives.
 
     The closure entries for the alternatives are included explicitly, so the
@@ -179,7 +177,7 @@ def synthetic_lexicon(dataset: Dataset, fanout: int) -> SynonymLexicon:
     if fanout < 0:
         raise ValueError(f"fanout must be >= 0, got {fanout}")
     entries: dict[str, list[str]] = {}
-    for tokens in dataset.arrays.tokens:
+    for tokens in dataset.tokens:
         for tok in tokens:
             if tok in entries or fanout == 0:
                 continue
@@ -190,13 +188,14 @@ def synthetic_lexicon(dataset: Dataset, fanout: int) -> SynonymLexicon:
     return SynonymLexicon(entries=entries)
 
 
-def _split_counts(config: SyntheticConfig, dataset: Dataset, seed: int) -> tuple[Dataset, Dataset]:
+def _split_counts(config: SyntheticConfig, dataset: ScoredArrays,
+                  seed: int) -> tuple[ScoredArrays, ScoredArrays]:
     total = config.n_calibration + config.n_test
     return split_dataset(dataset, config.n_calibration / total, seed=_derived_seed(seed, 2))
 
 
 def _robust_items(
-    config: SyntheticConfig, test: Dataset, trial_seed: int
+    config: SyntheticConfig, test: ScoredArrays, trial_seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Perturb every test question and flatten its robust table into items.
 
@@ -207,7 +206,6 @@ def _robust_items(
     whether it is the noisy token. Only test questions are perturbed, so the
     lexicon needs only their tokens.
     """
-    arrays = test.arrays
     lexicon = synthetic_lexicon(test, config.synonym_fanout)
     noise_rng = np.random.default_rng(np.random.SeedSequence(entropy=[trial_seed, 3]))
     counts: list[int] = []
@@ -215,7 +213,7 @@ def _robust_items(
     candidate: list[str] = []
     clean: list[bool] = []
     noisy_token: list[bool] = []
-    for q in arrays.questions():
+    for q in test.questions():
         noisy = inject_noise(q, lexicon, config.d, int(noise_rng.integers(2**63)))
         js, cands = _candidate_pairs(noisy.tokens, lexicon, config.d)
         counts.append(len(js))
@@ -226,11 +224,11 @@ def _robust_items(
     question = np.repeat(np.arange(len(counts)), counts)
     pos = np.array(position, dtype=np.int64)
     is_clean = np.array(clean, dtype=bool)
-    flat = arrays.offsets[question] + pos
-    score = arrays.scores[flat]
+    flat = test.offsets[question] + pos
+    score = test.scores[flat]
     drawn = np.flatnonzero(~is_clean)
     score[drawn] = _oracle_scores(
-        arrays.truth[flat[drawn]].tolist(), config.sigma, _scorer_seed(trial_seed),
+        test.truth[flat[drawn]].tolist(), config.sigma, _scorer_seed(trial_seed),
         pos[drawn].tolist(), [candidate[i] for i in drawn.tolist()],
     )
     return question, pos, score, is_clean, np.array(noisy_token, dtype=bool)
@@ -250,22 +248,21 @@ def _run_trial(
     """
     dataset = generate_synthetic_dataset(config, seed=trial_seed)
     cal, test = _split_counts(config, dataset, trial_seed)
-    step = RiskStep(cal.arrays)
+    step = RiskStep(cal)
     results = [calibrate_mode(step, a, mode) for a in alphas]
 
-    arrays = test.arrays
     if robust:
         question, position, score, clean, noisy = _robust_items(config, test, trial_seed)
-        starts = arrays.offsets[:-1]
-        in_truth = arrays.truth[starts[question] + position]
-        truth_sizes = np.add.reduceat(arrays.truth, starts, dtype=np.int64)
+        starts = test.offsets[:-1]
+        in_truth = test.truth[starts[question] + position]
+        truth_sizes = np.add.reduceat(test.truth, starts, dtype=np.int64)
     rows = []
     for res in results:
         lam = res.lambda_hat
         row: dict[str, Any] = {"mean_lambda": lam, "feasibility_rate": float(res.feasible)}
         if not robust:
             _, row["mean_set_size"], row["mean_loss"] = _set_stats(
-                arrays.scores, arrays.offsets, arrays.truth, lam
+                test.scores, test.offsets, test.truth, lam
             )
         else:
             kept = _kept(score, lam)
@@ -278,7 +275,7 @@ def _run_trial(
             )
             # the materialized scores are the plain scores of the clean questions
             row["superset_rate"] = _superset_holds(
-                question, position, clean, kept, _kept(arrays.scores, lam), arrays.offsets
+                question, position, clean, kept, _kept(test.scores, lam), test.offsets
             )
         rows.append({key: float(np.mean(v)) for key, v in row.items()})
     return rows

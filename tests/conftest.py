@@ -6,9 +6,9 @@ import numpy as np
 
 from tokencover.core import (
     CalibrationExample,
-    Dataset,
     GroundTruthExplanation,
     ImportanceScores,
+    ScoredArrays,
     TokenizedQuestion,
 )
 
@@ -38,8 +38,8 @@ def random_example(rng: np.random.Generator, k_min: int = 2, k_max: int = 10, qi
     return make_example(tokens, scores, truth, qid=qid)
 
 
-def random_dataset(rng: np.random.Generator, n: int, k_min: int = 2, k_max: int = 10) -> Dataset:
-    return Dataset(
-        examples=tuple(random_example(rng, k_min, k_max, qid=f"q{i}") for i in range(n)),
-        source_path="<memory>",
+def random_dataset(rng: np.random.Generator, n: int, k_min: int = 2,
+                   k_max: int = 10) -> ScoredArrays:
+    return ScoredArrays.from_examples(
+        random_example(rng, k_min, k_max, qid=f"q{i}") for i in range(n)
     )

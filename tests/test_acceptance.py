@@ -28,7 +28,7 @@ from tokencover.calibrate import (
 )
 from tokencover.core import (
     CalibrationExample,
-    Dataset,
+    ScoredArrays,
     GroundTruthExplanation,
     TokenizedQuestion,
     write_dataset,
@@ -368,7 +368,7 @@ class TestCriterion7CliRoundTrip:
                 )
             )
         data_path = tmp_path / "data.jsonl"
-        write_dataset(Dataset(examples=tuple(examples)), data_path)
+        write_dataset(ScoredArrays.from_examples(examples), data_path)
 
         def run(*args):
             return subprocess.run(

@@ -348,7 +348,7 @@ class TestOneStepServesAll:
     def test_step_gives_the_same_results(self):
         rng = np.random.default_rng(67)
         for _ in range(20):
-            arrays = random_dataset(rng, int(rng.integers(1, 15))).arrays
+            arrays = random_dataset(rng, int(rng.integers(1, 15)))
             step = RiskStep(arrays)
             grid = uniform_grid(51)
             for alpha in (0.1, 0.3, 0.6):

@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 from tokencover import cli
-from tokencover.calibrate import calibrate_exact
+from tokencover.calibrate import calibrate_exact, risk_curve, uniform_grid
 from tokencover.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main, parse_scorer_spec
 from tokencover.core import (
     CalibrationExample,
-    Dataset,
     GroundTruthExplanation,
     ImportanceScores,
+    ScoredArrays,
     TokenizedQuestion,
     load_dataset,
     write_dataset,
@@ -43,7 +43,7 @@ def make_dataset(n=12, k=5, seed=3):
                 explanation=GroundTruthExplanation(truth),
             )
         )
-    return Dataset(examples=tuple(examples))
+    return ScoredArrays.from_examples(examples)
 
 
 @pytest.fixture
@@ -125,6 +125,18 @@ class TestCalibrateCommand:
         assert len(lines) == 12
         last = lines[-1].split(",")
         assert float(last[0]) == 1.0 and float(last[1]) == 0.0
+
+    def test_curve_streamed_in_slices_is_the_whole_curve(self, workdir, monkeypatch):
+        tmp_path, data_path, _ = workdir
+        whole = risk_curve(load_dataset(data_path), uniform_grid(101))
+        expected = "lambda,risk,n\n" + "".join(f"{t!r},{r!r},{n}\n" for t, r, n in whole.rows())
+        monkeypatch.setattr(cli, "_CURVE_CHUNK", 7)  # 101 points: 14 full slices and one of 3
+        curve = tmp_path / "curve.csv"
+        code, _ = run_calibrate(
+            tmp_path, data_path, extra=["--grid-size", "101", "--curve-out", str(curve)]
+        )
+        assert code == EXIT_OK
+        assert curve.read_text() == expected
 
     def test_missing_dataset_is_input_error(self, tmp_path, capsys):
         code, _ = run_calibrate(tmp_path, str(tmp_path / "nope.jsonl"))
@@ -394,14 +406,14 @@ class TestStatsCommand:
         # at lambda = 1 - 0.9 the exact risk is 3996 / 5 / 4000 = 999/5000,
         # the bound at alpha = 0.2; summed in floats it lands just above it
         n = 4000
-        ds = Dataset(examples=tuple(
+        ds = ScoredArrays.from_examples(
             CalibrationExample(
                 question=TokenizedQuestion(id=f"q{i}", tokens=("a", "b", "c", "d", "e", "f")),
                 scores=ImportanceScores((0.25 if i < 3996 else 0.9, 0.9, 0.9, 0.9, 0.9, 0.1)),
                 explanation=GroundTruthExplanation(frozenset(range(5))),
             )
             for i in range(n)
-        ))
+        )
         data_path = tmp_path / "tie.jsonl"
         write_dataset(ds, data_path)
         curve = tmp_path / "curve.csv"
@@ -445,7 +457,7 @@ class TestStatsCommand:
         tmp_path, data_path, _ = workdir
         _, calib = run_calibrate(tmp_path, data_path, alpha="0.2")
         rec = json.loads(calib.read_text())
-        at_03 = calibrate_exact(load_dataset(data_path).arrays, 0.3)
+        at_03 = calibrate_exact(load_dataset(data_path), 0.3)
         assert at_03.lambda_hat != rec["lambda_hat"]
         self.tamper(calib, alpha=0.3, adjusted_bound=at_03.adjusted_bound)
         capsys.readouterr()

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from tokencover.core import (
-    Dataset,
     DatasetError,
+    ScoredArrays,
     TokenizedQuestion,
     load_dataset,
     split_dataset,
@@ -70,8 +70,8 @@ class TestValidateExample:
 class TestLoadWriteRoundTrip:
     def test_round_trip_is_exact(self, tmp_path):
         # exercise full float precision, unicode tokens, optional answer
-        ds = Dataset(
-            examples=(
+        ds = ScoredArrays.from_examples(
+            (
                 make_example(["für", "b"], [0.1 + 0.2, 1.0], [0], qid="q0", answer="yes"),
                 make_example(["c"], [1 / 3], [0], qid="q1"),
             )
@@ -79,13 +79,17 @@ class TestLoadWriteRoundTrip:
         path = tmp_path / "ds.jsonl"
         write_dataset(ds, path)
         loaded = load_dataset(path)
-        assert loaded == ds
+        assert loaded.examples == ds.examples
         assert loaded.examples[0].scores.values[0] == 0.1 + 0.2
-        assert loaded.source_path == str(path)
+
+    def test_loads_arrays(self, tmp_path):
+        ds = random_dataset(np.random.default_rng(4), 3)
+        write_dataset(ds, tmp_path / "ds.jsonl")
+        assert type(load_dataset(tmp_path / "ds.jsonl")) is ScoredArrays
 
     def test_written_bytes(self, tmp_path):
-        ds = Dataset(
-            examples=(
+        ds = ScoredArrays.from_examples(
+            (
                 make_example(["für", "日本"], [0.1 + 0.2, 1.0], [1, 0], qid="q0", answer="ja"),
                 make_example(["c"], [1 / 3], [0], qid="q1"),
             )
@@ -112,7 +116,7 @@ class TestLoadWriteRoundTrip:
         path = tmp_path / "ds.jsonl"
         write_dataset(ds, path)
         loaded = load_dataset(path)
-        assert [ex.question.id for ex in loaded] == [ex.question.id for ex in ds]
+        assert loaded.ids == ds.ids
 
 
 class TestLoadDatasetErrors:
@@ -192,10 +196,10 @@ class TestSplitDataset:
 
     def test_deterministic_per_seed(self):
         ds = random_dataset(np.random.default_rng(8), 30)
-        a = split_dataset(ds, 0.5, seed=3)
-        b = split_dataset(ds, 0.5, seed=3)
+        a = [side.examples for side in split_dataset(ds, 0.5, seed=3)]
+        b = [side.examples for side in split_dataset(ds, 0.5, seed=3)]
         assert a == b
-        c = split_dataset(ds, 0.5, seed=4)
+        c = [side.examples for side in split_dataset(ds, 0.5, seed=4)]
         assert a != c
 
     def test_partition_preserves_examples(self):
@@ -215,7 +219,7 @@ class TestSplitDataset:
                         answer=f"a{i}" if rng.random() < 0.5 else None)
                 for i in range(n)
             )
-            ds = Dataset(examples=examples)
+            ds = ScoredArrays.from_examples(examples)
             fraction, seed = float(rng.uniform(0.05, 0.95)), int(rng.integers(1000))
             n_left = round(fraction * n)
             if not 0 < n_left < n:
@@ -225,6 +229,15 @@ class TestSplitDataset:
             cal, test = split_dataset(ds, fraction, seed=seed)
             assert cal.examples == tuple(ds.examples[i] for i in order[:n_left])
             assert test.examples == tuple(ds.examples[i] for i in order[n_left:])
+
+    def test_sides_are_arrays_with_their_own_examples(self):
+        ds = random_dataset(np.random.default_rng(13), 12)
+        cal, test = split_dataset(ds, 0.5, seed=2)
+        assert type(cal) is ScoredArrays and type(test) is ScoredArrays
+        by_id = {ex.question.id: ex for ex in ds.examples}
+        for side in (cal, test):
+            assert side.examples == tuple(by_id[rid] for rid in side.ids)
+        assert set(cal.ids).isdisjoint(test.ids)
 
     def test_empty_side_rejected(self):
         ds = random_dataset(np.random.default_rng(10), 2)

@@ -188,9 +188,9 @@ class TestBulkPath:
     def test_repeated_index_counts_once(self, tmp_path):
         ds = load_dataset(write_lines(tmp_path, rec(scores=[0.3, 0.9], explanation_indices=[0, 0])))
         assert ds.examples[0].explanation.indices == frozenset({0})
-        assert ds.arrays.truth.tolist() == [True, False]
+        assert ds.truth.tolist() == [True, False]
         # truth size 1: missing position 0 costs the whole example
-        assert empirical_risk(ds.arrays, 0.5) == 1.0
+        assert empirical_risk(ds, 0.5) == 1.0
 
     def test_matches_per_record_loader(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -211,22 +211,32 @@ class TestBulkPath:
             bulk = load_dataset(path)
             reference = per_line(path)
             assert bulk.examples == reference
-            assert_arrays_equal(bulk.arrays, ScoredArrays.from_examples(reference))
+            assert_arrays_equal(bulk, ScoredArrays.from_examples(reference))
 
     def test_round_trip_through_arrays(self, tmp_path):
         ds = random_dataset(np.random.default_rng(6), 25)
         write_dataset(ds, tmp_path / "d.jsonl")
         loaded = load_dataset(tmp_path / "d.jsonl")
-        assert loaded == ds and len(loaded) == 25
-        assert list(loaded) == list(ds.examples)
-        assert ScoredArrays.from_examples(ds.examples).examples() == ds.examples
+        assert loaded.examples == ds.examples and len(loaded) == 25
+        assert ScoredArrays.from_examples(ds.examples).examples == ds.examples
+
+    def test_examples_built_once(self):
+        arrays = random_dataset(np.random.default_rng(7), 5)
+        assert arrays.examples is arrays.examples
+
+    def test_take_builds_its_own_examples(self):
+        arrays = random_dataset(np.random.default_rng(8), 9)
+        rows = [4, 0, 7]
+        taken = arrays.take(rows)
+        assert taken.examples == tuple(arrays.examples[i] for i in rows)
+        assert arrays.take([1]).examples == (arrays.examples[1],)
 
     def test_arrays_are_read_only(self, tmp_path):
         ds = load_dataset(write_lines(tmp_path, GOOD))
         assert len(ds.examples) == 1  # built from the arrays, which must not change
         for name in ("scores", "offsets", "truth"):
             with pytest.raises(ValueError, match="read-only"):
-                getattr(ds.arrays, name)[0] = 0
+                getattr(ds, name)[0] = 0
 
 
 class TestClampScores:

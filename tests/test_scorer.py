@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import socket
 import threading
 import time
@@ -310,6 +311,16 @@ class TestScoreCacheDisk:
         (tmp_path / "bad.json").write_text("{oops", encoding="utf-8")
         with pytest.warns(UserWarning, match="corrupt"):
             assert cache.get("bad") is None
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("no rename")
+
+        cache = ScoreCache(tmp_path)
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.warns(UserWarning, match="write failed"):
+            cache.put("k", (0.5,))
+        assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_root_degrades_with_warning(self, tmp_path):
         blocker = tmp_path / "file"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tokencover.calibrate import calibrate_exact, calibrate_grid
-from tokencover.core import validate_example
+from tokencover.core import ScoredArrays, validate_example
 from tokencover.robust import (
     BallSpec,
     auto_ball_mode,
@@ -71,10 +71,13 @@ class TestGenerateSyntheticDataset:
             assert kmin <= len(ex.question.tokens) <= kmax
             assert len(ex.explanation.indices) >= 1
 
+    def test_returns_arrays(self):
+        assert type(generate_synthetic_dataset(SMALL)) is ScoredArrays
+
     def test_deterministic_per_seed(self):
-        assert generate_synthetic_dataset(SMALL) == generate_synthetic_dataset(SMALL)
-        other = generate_synthetic_dataset(SMALL, seed=8)
-        assert other != generate_synthetic_dataset(SMALL)
+        ds = generate_synthetic_dataset(SMALL)
+        assert ds.examples == generate_synthetic_dataset(SMALL).examples
+        assert generate_synthetic_dataset(SMALL, seed=8).examples != ds.examples
 
     def test_oracle_scorer_reproduces_materialized_scores(self):
         ds = generate_synthetic_dataset(SMALL)

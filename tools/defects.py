@@ -148,6 +148,18 @@ DEFECTS = [
            "src/tokencover/calibrate.py",
            '("grid_size", (size or 0) <= MAX_GRID_SIZE, f"at most {MAX_GRID_SIZE}"),',
            ""),
+    Defect("AA", "`split_dataset` gives the calibration rows to both sides",
+           "src/tokencover/core.py",
+           "return dataset.take(order[:n_left]), dataset.take(order[n_left:])",
+           "return dataset.take(order[:n_left]), dataset.take(order[:n_left])"),
+    Defect("AB", "the atomic writer leaves its temp file behind when the write fails",
+           "src/tokencover/core.py",
+           "        if os.path.exists(tmp):\n            os.unlink(tmp)\n",
+           ""),
+    Defect("AC", "`calibrate --curve-out` drops the last point of each grid slice",
+           "src/tokencover/cli.py",
+           "risk_curve(step, grid[start:start + _CURVE_CHUNK])",
+           "risk_curve(step, grid[start:start + _CURVE_CHUNK - 1])"),
 ]
 
 
