@@ -19,9 +19,9 @@ from typing import Any, Iterator, Sequence
 
 from .calibrate import (DEFAULT_GRID_SIZE, CalibrationResult, RiskStep, calibrate_mode,
                         risk_curve, uniform_grid)
-from .core import DatasetError, _write_atomic, load_dataset
-from .robust import (DEFAULT_ENUMERATION_BUDGET, BallBudgetError, BallSpec, auto_ball_mode,
-                     build_robust_set, load_lexicon)
+from .core import _write_atomic, load_dataset
+from .robust import (DEFAULT_ENUMERATION_BUDGET, BallSpec, auto_ball_mode, build_robust_set,
+                     load_lexicon)
 from .scorer import ScorerError, ScorerSpec, make_scorer, truth_map
 from .sets import _score_batch, _set_stats
 from .sim import CoverageReport, SyntheticConfig, run_coverage_experiment, summarize
@@ -111,8 +111,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     arrays = load_dataset(args.dataset, clamp_scores=args.clamp_scores)
     calibration = _load_calibration(args.calibration)
     spec = parse_scorer_spec(args.scorer, args.seed)
-    scorer = make_scorer(spec, truth_by_id=truth_map(arrays), cache_dir=_cache_dir(args))
-    scores = _score_batch(arrays.questions(), scorer, calibration, args.strict, args.workers)
+    scorer = make_scorer(spec, truth_by_id=truth_map(arrays), cache_dir=_cache_dir(args),
+                         workers=args.workers)
+    scores = _score_batch(arrays.questions(), scorer, calibration, args.strict)
     lam = calibration.lambda_hat
     kept, sizes, losses = _set_stats(scores, arrays.offsets, arrays.truth, lam)
     encode = json.JSONEncoder(ensure_ascii=False).encode
@@ -363,8 +364,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DatasetError, ScorerError, BallBudgetError, FileNotFoundError,
-            IsADirectoryError, PermissionError, json.JSONDecodeError, ValueError) as e:
+    except (ValueError, FileNotFoundError, IsADirectoryError, PermissionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError:

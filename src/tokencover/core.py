@@ -349,12 +349,13 @@ def _checked_row(rec: Any, lineno: int, clamp_scores: bool) -> tuple:
 
 
 def write_dataset(arrays: ScoredArrays, path: str | Path) -> None:
-    """Write a dataset as JSON Lines; loading the file gives its examples exactly."""
-    path = Path(path)
+    """Write a dataset as JSON Lines, atomically; loading the file gives its
+    examples exactly."""
     bounds = arrays.offsets.tolist()
     rows = zip(arrays.ids, arrays.tokens, arrays.answers, bounds, bounds[1:],
                arrays.positions(arrays.truth))
-    with path.open("w", encoding="utf-8") as fh:
+
+    def lines() -> Iterable[str]:
         for rid, tokens, answer, lo, hi, truth in rows:
             rec: dict[str, Any] = {
                 "id": rid,
@@ -364,7 +365,9 @@ def write_dataset(arrays: ScoredArrays, path: str | Path) -> None:
             }
             if answer is not None:
                 rec["answer"] = answer
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+            yield json.dumps(rec, ensure_ascii=False) + "\n"
+
+    _write_atomic(path, lines())
 
 
 def split_dataset(dataset: ScoredArrays, fraction: float,

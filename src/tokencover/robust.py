@@ -32,7 +32,7 @@ import numpy as np
 
 from .calibrate import CalibrationResult
 from .core import GroundTruthExplanation, TokenizedQuestion
-from .scorer import _SCORE_CHUNK, ScorerError, _ScorerBase
+from .scorer import _SCORE_CHUNK, _ScorerBase
 from .sets import UncertaintySet, _check_scorer_identity, _kept
 
 BALL_MODES = ("exact", "coordinatewise")
@@ -264,14 +264,10 @@ def robust_scores(
     one ``scorer.score_many`` call per chunk of ``_SCORE_CHUNK`` members, and
     ``np.maximum.at`` folds each chunk into the running maximum per pair.
     Coordinatewise mode substitutes one token at a time, which is equal to
-    the exact maximum whenever the scorer is context-free, and is refused
-    otherwise.
+    the exact maximum whenever the scorer is context-free; any other scorer's
+    ``score_tokens`` refuses it.
     """
     if spec.mode == "coordinatewise":
-        if not scorer.context_free:
-            raise ScorerError(
-                f"coordinatewise mode requires a context-free scorer; {scorer.identity!r} is not"
-            )
         positions, candidates = _candidate_pairs(question.tokens, lexicon, spec.d)
         scores = scorer.score_tokens(question, positions, candidates)
         return dict(zip(zip(positions, candidates), scores))

@@ -8,9 +8,9 @@ and the content being scored, never from global state, so repeated calls are
 reproducible. All oracle noise comes from one batched rule, ``_oracle_scores``.
 
 ``score_many`` scores a chunk of at most ``_SCORE_CHUNK`` questions into one
-flat array, one call each. The base version calls ``score_question`` per
-question; the uniform and oracle scorers override it with one batch of the
-rule their ``score_question`` uses.
+flat array, one call each. Each scorer states its rule once, in one of the
+two methods, and the base class derives the other. The remote scorer's
+``score_many`` is the package's one use of threads: its cache misses.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import os
 import threading
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from hashlib import sha256
 from pathlib import Path
@@ -105,7 +106,8 @@ class ScorerSpec:
 
 
 class _ScorerBase:
-    """Shared bookkeeping: evaluation and cache-hit counters."""
+    """Shared counters. A scorer overrides ``score_question`` or ``score_many``,
+    and the base version of the other derives from it."""
 
     identity: str = "?"
     context_free: bool = False
@@ -115,7 +117,8 @@ class _ScorerBase:
         self.cache_hits = 0
 
     def score_question(self, question: TokenizedQuestion) -> ImportanceScores:
-        raise NotImplementedError
+        """The scores of one question: ``score_many`` of a chunk of one."""
+        return ImportanceScores(tuple(self.score_many([question]).tolist()))
 
     def score_many(self, questions: Sequence[TokenizedQuestion]) -> np.ndarray:
         """The scores of ``questions`` as one flat float64 array, in question
@@ -134,7 +137,8 @@ class _ScorerBase:
         """Score (position, token) pairs, each independent of the other tokens,
         as one call per pair. Only defined for context-free scorers, where the
         score of a token does not depend on the rest of the question."""
-        raise ScorerError(f"scorer {self.identity!r} is not context-free")
+        raise ScorerError(
+            f"coordinatewise mode requires a context-free scorer; {self.identity!r} is not")
 
 
 def oracle_noise_score(
@@ -192,10 +196,6 @@ class OracleNoiseScorer(_ScorerBase):
                 f"oracle scorer has no ground truth for question id {question_id!r}"
             ) from None
 
-    def score_question(self, question: TokenizedQuestion) -> ImportanceScores:
-        self.calls += 1
-        return oracle_noise_score(self._truth(question.id), question.tokens, self.sigma, self.seed)
-
     def score_many(self, questions: Sequence[TokenizedQuestion]) -> np.ndarray:
         # every question's truth is checked before any is hashed
         masks = [_truth_mask(self._truth(q.id), len(q.tokens)) for q in questions]
@@ -243,8 +243,6 @@ class UniformRandomScorer(_ScorerBase):
     output shifts with context.
     """
 
-    context_free = False
-
     def __init__(self, seed: int):
         super().__init__()
         self.seed = int(seed)
@@ -262,12 +260,6 @@ class UniformRandomScorer(_ScorerBase):
             digests.append(h.digest())
         return b"".join(digests)
 
-    def score_question(self, question: TokenizedQuestion) -> ImportanceScores:
-        self.calls += 1
-        key = cache_key(question.prompt, question.tokens, self.identity)
-        return ImportanceScores(tuple(
-            _unit_uniforms(self._digests(key, len(question.tokens))).tolist()))
-
     def score_many(self, questions: Sequence[TokenizedQuestion]) -> np.ndarray:
         self.calls += len(questions)
         return _unit_uniforms(b"".join([
@@ -278,8 +270,6 @@ class UniformRandomScorer(_ScorerBase):
 
 class TableScorer(_ScorerBase):
     """Deterministic lookup table from token tuples to score vectors."""
-
-    context_free = False
 
     def __init__(self, table: Mapping[Sequence[str], Sequence[float]], identity: str = "table"):
         super().__init__()
@@ -363,11 +353,9 @@ class RemoteScorer(_ScorerBase):
     any other HTTP error status, and a 200 whose body is not JSON or has no
     ``scores``, fail at once. Responses are validated for length and range,
     and validated scores are memoized in memory and in an optional on-disk
-    cache. Each request runs in the calling thread, so the requests in
-    flight are bounded by the threads that call the scorer.
+    cache. ``score_many`` fetches misses on ``workers`` threads, which bound
+    the requests in flight; at ``workers`` <= 1, in the calling thread.
     """
-
-    context_free = False
 
     def __init__(
         self,
@@ -376,6 +364,7 @@ class RemoteScorer(_ScorerBase):
         retries: int = 3,
         cache_dir: str | Path | None = None,
         backoff: float = 0.25,
+        workers: int = 1,
     ):
         # imported here: urllib.request costs about 40 ms at start-up, which
         # commands without a remote scorer need not pay
@@ -393,6 +382,7 @@ class RemoteScorer(_ScorerBase):
         self.timeout = float(timeout)
         self.retries = int(retries)
         self.backoff = float(backoff)
+        self.workers = int(workers)
         self.identity = f"remote({endpoint})"
         self.disk_cache = ScoreCache(cache_dir) if cache_dir is not None else None
         self._memo: dict[ScoreCacheKey, tuple[float, ...]] = {}
@@ -448,14 +438,14 @@ class RemoteScorer(_ScorerBase):
             f"remote scorer {self.endpoint!r} failed after {self.retries + 1} attempts: {last_error}"
         )
 
-    def lookup(self, question: TokenizedQuestion) -> ImportanceScores | None:
+    def _lookup(self, question: TokenizedQuestion) -> tuple[float, ...] | None:
         """The cached scores of ``question``, from the memo and then the disk
         cache, or None on a miss. A hit counts in ``cache_hits``."""
         key = cache_key(question.prompt, question.tokens, self.identity)
         with self._lock:
             if key in self._memo:
                 self.cache_hits += 1
-                return ImportanceScores(self._memo[key])
+                return self._memo[key]
         if self.disk_cache is not None:
             cached = self.disk_cache.get(key)
             if cached is not None:
@@ -463,10 +453,10 @@ class RemoteScorer(_ScorerBase):
                 with self._lock:
                     self._memo[key] = cached
                     self.cache_hits += 1
-                return ImportanceScores(cached)
+                return cached
         return None
 
-    def fetch(self, question: TokenizedQuestion) -> ImportanceScores:
+    def _fetch(self, question: TokenizedQuestion) -> tuple[float, ...]:
         """Score ``question`` over the network, validate the scores and cache
         them. Counts in ``calls``."""
         raw = self._request(question)
@@ -480,11 +470,28 @@ class RemoteScorer(_ScorerBase):
             self._memo[key] = values
         if self.disk_cache is not None:
             self.disk_cache.put(key, values)
-        return ImportanceScores(values)
+        return values
 
-    def score_question(self, question: TokenizedQuestion) -> ImportanceScores:
-        scores = self.lookup(question)
-        return self.fetch(question) if scores is None else scores
+    def score_many(self, questions: Sequence[TokenizedQuestion]) -> np.ndarray:
+        """Hits come from the memo and then the disk cache, in the calling
+        thread; each distinct miss is fetched once, on a pool of ``workers``
+        threads when ``workers`` is above 1. A repeat of a miss is then a memo
+        hit, as in a serial pass, so ``calls`` and ``cache_hits`` match one."""
+        scored = [self._lookup(q) for q in questions]
+        misses: dict[tuple[str, tuple[str, ...]], int] = {}
+        for i, (q, sc) in enumerate(zip(questions, scored)):
+            if sc is None:
+                misses.setdefault((q.prompt, q.tokens), i)
+        todo = [questions[i] for i in misses.values()]
+        if self.workers > 1:
+            with ThreadPoolExecutor(max_workers=self.workers) as pool:
+                fetched = list(pool.map(self._fetch, todo))
+        else:
+            fetched = [self._fetch(q) for q in todo]
+        for i, sc in zip(misses.values(), fetched):
+            scored[i] = sc
+        scored = [self._lookup(q) if sc is None else sc for q, sc in zip(questions, scored)]
+        return np.array([v for sc in scored for v in sc], dtype=np.float64)
 
 
 def truth_map(arrays: ScoredArrays) -> dict[str, frozenset[int]]:
@@ -510,12 +517,13 @@ def make_scorer(
     spec: ScorerSpec,
     truth_by_id: Mapping[str, Iterable[int]] | None = None,
     cache_dir: str | Path | None = None,
+    workers: int = 1,
 ) -> _ScorerBase:
     """Build a scorer instance from a declarative spec.
 
     ``truth_by_id`` supplies the oracle's ground truth when it is not already
     in ``spec.parameters``; ``cache_dir`` enables the remote scorer's disk
-    cache.
+    cache, and ``workers`` bounds its concurrent requests.
     """
     if spec.kind not in SCORER_KINDS:
         raise ScorerError(f"unknown scorer kind {spec.kind!r}; expected one of {SCORER_KINDS}")
@@ -541,5 +549,5 @@ def make_scorer(
             raise ScorerError("constant scorer requires parameter 'value'")
         return ConstantScorer(params["value"])
     # an empty endpoint is refused by RemoteScorer itself
-    return RemoteScorer(params.pop("endpoint", ""), cache_dir=cache_dir, **params)
+    return RemoteScorer(params.pop("endpoint", ""), cache_dir=cache_dir, workers=workers, **params)
 

@@ -9,12 +9,14 @@ applies it to one question's scores, ``robust.threshold_robust_scores`` to
 robust scores, and ``_set_stats`` to the flat scores of many questions at
 once, giving each one's set size and loss. The CLI's ``predict`` and
 ``stats`` and the plain Monte Carlo trials read ``_set_stats``.
+
+``_score_batch`` scores ``predict``'s questions with one ``score_many`` call
+per chunk, whatever the scorer; any concurrency is the scorer's own.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
@@ -22,7 +24,7 @@ import numpy as np
 
 from .calibrate import CalibrationResult, loss
 from .core import GroundTruthExplanation, ImportanceScores, TokenizedQuestion
-from .scorer import _SCORE_CHUNK, RemoteScorer, ScorerError, _ScorerBase
+from .scorer import _SCORE_CHUNK, ScorerError, _ScorerBase
 
 
 @dataclass(frozen=True)
@@ -132,43 +134,19 @@ def predict(
     return build_set(question, scorer.score_question(question), calibration.lambda_hat)
 
 
-def _score_batch(
-    questions: Sequence[TokenizedQuestion],
-    scorer: _ScorerBase,
-    calibration: CalibrationResult,
-    strict: bool,
-    workers: int,
-) -> np.ndarray:
-    """The scores of all questions as one flat float64 array, in input order.
-
-    ``score_many`` scores ``_SCORE_CHUNK`` questions per call. Only a remote
-    scorer with ``workers > 1`` uses threads, since only its network waits
-    overlap: cache hits are answered in the calling thread, and each distinct
-    missed question is fetched once on a pool of ``workers`` threads. A
-    question repeated among the misses is then a memo hit, as in a serial
-    pass, so ``calls`` and ``cache_hits`` match one. ``score_many``, and the
-    remote scorer's ``lookup`` and ``fetch``, check each score vector's length.
-    """
+def _score_batch(questions: Sequence[TokenizedQuestion], scorer: _ScorerBase,
+                 calibration: CalibrationResult, strict: bool) -> np.ndarray:
+    """The scores of all questions as one flat float64 array, in input order,
+    from one ``score_many`` call per ``_SCORE_CHUNK`` questions; each
+    scorer's ``score_many`` checks the length of every score vector."""
     _check_scorer_identity(scorer, calibration, strict)
-    if workers <= 1 or not isinstance(scorer, RemoteScorer):
-        flat = np.empty(sum(len(q.tokens) for q in questions))
-        end = 0
-        for start in range(0, len(questions), _SCORE_CHUNK):
-            block = scorer.score_many(questions[start:start + _SCORE_CHUNK])
-            flat[end:end + block.size] = block
-            end += block.size
-        return flat
-    scored = [scorer.lookup(q) for q in questions]
-    misses: dict[tuple[str, tuple[str, ...]], int] = {}
-    for i, (q, sc) in enumerate(zip(questions, scored)):
-        if sc is None:
-            misses.setdefault((q.prompt, q.tokens), i)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        fetched = pool.map(scorer.fetch, [questions[i] for i in misses.values()])
-        for i, sc in zip(misses.values(), fetched):
-            scored[i] = sc
-    scored = [scorer.score_question(q) if sc is None else sc for q, sc in zip(questions, scored)]
-    return np.array([v for sc in scored for v in sc.values], dtype=np.float64)
+    flat = np.empty(sum(len(q.tokens) for q in questions))
+    end = 0
+    for start in range(0, len(questions), _SCORE_CHUNK):
+        block = scorer.score_many(questions[start:start + _SCORE_CHUNK])
+        flat[end:end + block.size] = block
+        end += block.size
+    return flat
 
 
 def evaluate(

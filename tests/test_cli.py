@@ -205,19 +205,28 @@ class TestPredictCommand:
         assert main([*args, "--strict"]) == EXIT_INPUT
         assert "does not match" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("scorer", [ORACLE_ARGS, ["--scorer", "constant:value=0.75"]])
-    def test_workers_do_not_change_output(self, workdir, capsys, scorer):
+    @pytest.mark.parametrize("scorer", [ORACLE_ARGS, ["--scorer", "constant:value=0.75"],
+                                        "remote"])
+    def test_workers_do_not_change_output(self, workdir, capsys, monkeypatch, request, scorer):
         tmp_path, data_path, _ = workdir
+        remote = scorer == "remote"
+        if remote:
+            url, state = request.getfixturevalue("http_scorer_server")
+            scorer = ["--scorer", f"remote:endpoint={url},retries=0"]
+            monkeypatch.delenv("SCORER_CACHE_DIR", raising=False)
         _, calib = run_calibrate(tmp_path, data_path)
         capsys.readouterr()
         outputs = []
-        for workers in ("1", "2"):
+        for workers in ("0", "1", "2"):
             out = tmp_path / f"pred-{workers}.jsonl"
             code = main(["predict", "--dataset", data_path, "--calibration", str(calib),
                          "--out", str(out), "--workers", workers, *scorer])
             assert code == EXIT_OK
             outputs.append((out.read_bytes(), capsys.readouterr().out))
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
+        if remote:
+            # each run is a fresh scorer with no disk cache: one POST per question
+            assert len(state["bodies"]) == 3 * 12
 
     def test_short_scores_are_rejected(self, workdir, capsys, monkeypatch):
         # a scorer one score short on one question must fail the command,

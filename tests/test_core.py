@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 from dataclasses import replace
 
@@ -102,6 +103,31 @@ class TestLoadWriteRoundTrip:
             '{"id": "q1", "tokens": ["c"], "scores": [0.3333333333333333], '
             '"explanation_indices": [0]}\n'
         )
+
+    @pytest.mark.parametrize("fail", ["rename", "second-record"])
+    def test_failed_write_keeps_old_file_and_leaves_no_temp_file(self, tmp_path, monkeypatch,
+                                                                  fail):
+        path = tmp_path / "ds.jsonl"
+        path.write_text("old\n", encoding="utf-8")
+        if fail == "rename":
+            def refuse(src, dst):
+                raise OSError("no rename")
+
+            monkeypatch.setattr(os, "replace", refuse)
+        else:
+            dumps, records = json.dumps, []
+
+            def dumps_one(*args, **kwargs):
+                records.append(args[0])
+                if len(records) == 2:
+                    raise OSError("disk full")
+                return dumps(*args, **kwargs)
+
+            monkeypatch.setattr(json, "dumps", dumps_one)
+        with pytest.raises(OSError):
+            write_dataset(random_dataset(np.random.default_rng(7), 3), path)
+        assert path.read_text(encoding="utf-8") == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["ds.jsonl"]
 
     def test_double_round_trip_identical_bytes(self, tmp_path):
         rng = np.random.default_rng(5)

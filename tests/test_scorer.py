@@ -3,13 +3,10 @@
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 import socket
-import threading
-import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import sys
 from statistics import NormalDist
 
 import numpy as np
@@ -224,18 +221,32 @@ BATCH = [
 BATCH_TRUTH = {"q0": {0, 2}, "q1": {0}, "q2": {1, 4}, "q3": {1}, "q4": {3}}
 
 
+def uniform_reference(question, seed=11):
+    """The uniform scorer's rule written out: the unit uniform of the first 8
+    bytes of sha256("seed|cache_key|j"), read big-endian."""
+    key = cache_key(question.prompt, question.tokens, f"uniform_random(seed={seed})")
+    return [(int.from_bytes(hashlib.sha256(f"{seed}|{key}|{j}".encode()).digest()[:8], "big")
+             + 0.5) / 2.0**64 for j in range(len(question.tokens))]
+
+
 class TestScoreMany:
-    @pytest.mark.parametrize("make", [
-        lambda: UniformRandomScorer(seed=11),
-        lambda: OracleNoiseScorer(sigma=0.4, seed=11, truth_by_id=BATCH_TRUTH),
-        lambda: OracleNoiseScorer(sigma=0.0, seed=11, truth_by_id=BATCH_TRUTH),
+    @pytest.mark.parametrize("make, reference", [
+        (lambda: UniformRandomScorer(seed=11), uniform_reference),
+        (lambda: OracleNoiseScorer(sigma=0.4, seed=11, truth_by_id=BATCH_TRUTH),
+         lambda x: oracle_noise_score(BATCH_TRUTH[x.id], x.tokens, 0.4, 11).values),
+        (lambda: OracleNoiseScorer(sigma=0.0, seed=11, truth_by_id=BATCH_TRUTH),
+         lambda x: oracle_noise_score(BATCH_TRUTH[x.id], x.tokens, 0.0, 11).values),
     ], ids=["uniform_random", "oracle_noise", "oracle_noise-sigma0"])
-    def test_bit_equal_to_score_question(self, make):
+    def test_bit_equal_to_score_question(self, make, reference):
         one, many = make(), make()
         want = [v for question in BATCH for v in one.score_question(question).values]
         got = many.score_many(BATCH)
         assert got.dtype == np.float64
         assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+        # score_question derives from score_many, so both are also checked
+        # against the rule written out apart from the scorer
+        ref = [v for question in BATCH for v in reference(question)]
+        assert got.tobytes() == np.array(ref, dtype=np.float64).tobytes()
         assert many.calls == one.calls == len(BATCH)
         assert many.score_many(BATCH[1:3]).size == 6
         assert many.calls == len(BATCH) + 2
@@ -329,56 +340,6 @@ class TestScoreCacheDisk:
         with pytest.warns(UserWarning):
             cache = ScoreCache(blocker)
             cache.put("k", (0.5,))
-
-
-class _Handler(BaseHTTPRequestHandler):
-    """Answers ``state["response"]``, or ``state["raw"]`` bytes, or without
-    either the scores int(token) / 100; the first ``fail_first`` requests get
-    ``fail_status`` (500) instead. With ``hang`` set, it waits that many
-    seconds and closes the connection without an answer."""
-
-    behavior: dict = {}
-
-    def do_POST(self):
-        state = self.behavior
-        state["requests"] = state.get("requests", 0) + 1
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        state.setdefault("bodies", []).append(body)
-        state.setdefault("auth", []).append(self.headers.get("Authorization"))
-        if "hang" in state:
-            time.sleep(state["hang"])
-            return
-        fail_first = state.get("fail_first", 0)
-        if state["requests"] <= fail_first:
-            self.send_response(state.get("fail_status", 500))
-            self.end_headers()
-            return
-        if "raw" in state:
-            payload = state["raw"]
-        else:
-            response = state.get("response") or {"scores": [int(t) / 100 for t in body["tokens"]]}
-            payload = json.dumps(response).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def http_scorer_server():
-    handler = type("Handler", (_Handler,), {"behavior": {}})
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
-                              daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}/score", handler.behavior
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
 
 
 class TestRemoteScorer:
@@ -499,11 +460,11 @@ class TestRemoteScorer:
     def test_threaded_batch_fetches_only_misses_in_input_order(self, http_scorer_server):
         url, state = http_scorer_server
         questions = [q([str(i), str(50 + i)], qid=f"q{i}") for i in range(10)]
-        scorer = RemoteScorer(url, retries=0)
+        scorer = RemoteScorer(url, retries=0, workers=2)
         for x in questions[::3]:
             scorer.score_question(x)
         state["bodies"].clear()
-        got = _score_batch(questions, scorer, UNSTAMPED, strict=False, workers=2)
+        got = _score_batch(questions, scorer, UNSTAMPED, strict=False)
         assert got.tolist() == [v for i in range(10) for v in (i / 100, (50 + i) / 100)]
         misses = [list(x.tokens) for i, x in enumerate(questions) if i % 3]
         assert sorted(b["tokens"] for b in state["bodies"]) == misses
@@ -512,11 +473,26 @@ class TestRemoteScorer:
     def test_threaded_batch_fetches_repeated_miss_once(self, http_scorer_server):
         url, state = http_scorer_server
         questions = [q(["7"], qid=f"q{i}") for i in range(3)]
-        scorer = RemoteScorer(url, retries=0)
-        got = _score_batch(questions, scorer, UNSTAMPED, strict=False, workers=2)
+        scorer = RemoteScorer(url, retries=0, workers=2)
+        got = _score_batch(questions, scorer, UNSTAMPED, strict=False)
         assert got.tolist() == [0.07] * 3
         assert state["requests"] == 1
         assert (scorer.calls, scorer.cache_hits) == (1, 2)
+
+    def test_threaded_counts_hold_under_contention(self, monkeypatch):
+        # more threads than cores and a short switch interval: a lost update
+        # to the memo or the counters would break the counts
+        scorer = RemoteScorer("http://127.0.0.1:9/score", retries=0, workers=8)
+        monkeypatch.setattr(scorer, "_request", lambda x: [int(t) / 100 for t in x.tokens])
+        questions = [q([str(i % 50)], qid=f"q{i}") for i in range(400)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = scorer.score_many(questions)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.tolist() == [i % 50 / 100 for i in range(400)]
+        assert (scorer.calls, scorer.cache_hits) == (50, 350)
 
 
 class TestMakeScorer:

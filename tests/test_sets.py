@@ -115,22 +115,37 @@ class TestPredict:
 
 
 class TestPredictBatch:
-    """The batch scoring that `predict --workers` runs through; a local scorer
-    scores serially whatever the worker count."""
+    """The batch scoring that `predict` runs through: one ``score_many`` call
+    per chunk; only a remote scorer's misses are fetched on threads."""
 
-    def test_preserves_order_and_matches_serial(self):
-        questions = [q([f"w{i}", f"v{i}"], qid=f"q{i}") for i in range(20)]
-        scorer = make_scorer(ScorerSpec(kind="uniform_random", seed=9))
-        serial = _score_batch(questions, scorer, calib(0.6), strict=False, workers=1)
-        threaded = _score_batch(questions, scorer, calib(0.6), strict=False, workers=4)
-        assert serial.tobytes() == threaded.tobytes()
+    @pytest.mark.parametrize("workers", [0, 1, 2])
+    def test_preserves_order_and_matches_serial(self, http_scorer_server, workers):
+        # questions repeat (every token pair occurs in up to three of them),
+        # and some are in the memo before the batch starts
+        url, _ = http_scorer_server
+        questions = [q([str(i % 7), str(50 + i % 7)], qid=f"q{i}") for i in range(20)]
+        cached = questions[::5]
+
+        def remote(n):
+            spec = ScorerSpec(kind="remote", parameters={"endpoint": url, "retries": 0})
+            scorer = make_scorer(spec, workers=n)
+            for x in cached:
+                scorer.score_question(x)
+            return scorer
+
+        serial = remote(1)
+        want = np.array([v for x in questions for v in serial.score_question(x).values])
+        scorer = remote(workers)
+        got = _score_batch(questions, scorer, calib(0.6), strict=False)
+        assert got.tobytes() == want.tobytes()
+        assert (scorer.calls, scorer.cache_hits) == (serial.calls, serial.cache_hits) == (7, 17)
         sets = [build_set(x, ImportanceScores(tuple(sc.tolist())), 0.6)
-                for x, sc in zip(questions, np.split(threaded, len(questions)))]
+                for x, sc in zip(questions, np.split(got, len(questions)))]
         assert sets == [predict(x, scorer, calib(0.6)) for x in questions]
         assert [s.question_id for s in sets] == [f"q{i}" for i in range(20)]
 
     def test_empty_input(self):
-        got = _score_batch([], ConstantScorer(0.5), calib(0.5), strict=False, workers=4)
+        got = _score_batch([], ConstantScorer(0.5), calib(0.5), strict=False)
         assert got.tolist() == []
 
     @pytest.mark.parametrize("make", [
@@ -149,7 +164,7 @@ class TestPredictBatch:
         score_many = scorer.score_many
         monkeypatch.setattr(scorer, "score_many", lambda chunk: sizes.append(len(chunk))
                             or score_many(chunk))
-        got = _score_batch(questions, scorer, calib(0.5), strict=False, workers=1)
+        got = _score_batch(questions, scorer, calib(0.5), strict=False)
         want = [v for x in questions for v in reference.score_question(x).values]
         assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
         assert sizes == [2, 2, 1]
@@ -160,7 +175,7 @@ class TestPredictBatch:
         truth = {x.id: {i % 3} for i, x in enumerate(questions)}
         scorer, reference = (OracleNoiseScorer(sigma=0.3, seed=5, truth_by_id=truth)
                              for _ in range(2))
-        got = _score_batch(questions, scorer, calib(0.5), strict=False, workers=1)
+        got = _score_batch(questions, scorer, calib(0.5), strict=False)
         want = [v for x in questions for v in reference.score_question(x).values]
         assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
         assert scorer.calls == len(questions)

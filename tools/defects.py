@@ -72,7 +72,7 @@ DEFECTS = [
            "scores=self.scores[flat], offsets=offsets, truth=self.truth[flat])",
            "scores=self.scores[flat], offsets=offsets, truth=self.truth[:flat.size])"),
     Defect("M", "threaded remote scoring appends the fetched misses after the hits",
-           "src/tokencover/sets.py",
+           "src/tokencover/scorer.py",
            "for i, sc in zip(misses.values(), fetched):\n            scored[i] = sc",
            "scored = [sc for sc in scored if sc is not None] + list(fetched)"),
     Defect("T", "the remote scorer retries every HTTP error status, 4xx included",
@@ -144,6 +144,14 @@ DEFECTS = [
            "src/tokencover/sets.py",
            "range(0, len(questions), _SCORE_CHUNK)",
            "range(0, len(questions) - _SCORE_CHUNK + 1, _SCORE_CHUNK)"),
+    Defect("AD", "the derived `score_question` returns a question's scores in reverse order",
+           "src/tokencover/scorer.py",
+           "ImportanceScores(tuple(self.score_many([question]).tolist()))",
+           "ImportanceScores(tuple(self.score_many([question])[::-1].tolist()))"),
+    Defect("AE", "`RemoteScorer.score_many` fetches every occurrence of a repeated miss",
+           "src/tokencover/scorer.py",
+           "misses.setdefault((q.prompt, q.tokens), i)",
+           "misses.setdefault(i, i)"),
     Defect("I", "`CalibrationResult.from_dict` accepts a grid size of any magnitude",
            "src/tokencover/calibrate.py",
            '("grid_size", (size or 0) <= MAX_GRID_SIZE, f"at most {MAX_GRID_SIZE}"),',
