@@ -8,19 +8,20 @@ A dataset is one type, ``ScoredArrays``: ids, token tuples and answers, plus
 flat scores, offsets and a truth mask. Loading, synthetic generation,
 splitting, writing and the ground-truth lookup all work on it; per-record
 ``CalibrationExample``s are a view built from it on first use.
-``load_dataset`` reads each line once, checks it and appends it to the
-arrays' flat lists; only a record that fails a check is built as a
-``CalibrationExample``, to name its error.
+``load_dataset`` reads each line once and checks it with one per-record
+rule: the schema checks, then the invariants, whose violations only
+``validate_example`` names.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
 import os
 import random
-import tempfile
+import stat
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -229,57 +230,6 @@ def validate_example(example: CalibrationExample) -> list[str]:
     return problems
 
 
-_STR, _NUMBER, _INT = frozenset({str}), frozenset({int, float}), frozenset({int})
-
-
-def _record_to_example(rec: Any, lineno: int, clamp_scores: bool) -> CalibrationExample:
-    """One parsed line as an example, or the first schema error it breaks.
-    Types are exact, so a JSON true or false is no number."""
-    if type(rec) is not dict:
-        raise DatasetError(f"line {lineno}: record must be a JSON object")
-    for name in ("id", "tokens", "scores", "explanation_indices"):
-        if name not in rec:
-            raise DatasetError(f"line {lineno}: missing field {name!r}")
-    rid = rec["id"]
-    if type(rid) is not str:
-        raise DatasetError(f"line {lineno}: field 'id' must be a string")
-    tokens = rec["tokens"]
-    if type(tokens) is not list or not _STR.issuperset(map(type, tokens)):
-        raise DatasetError(f"line {lineno} (id={rid!r}): field 'tokens' must be a list of strings")
-    scores = rec["scores"]
-    if type(scores) is not list or not _NUMBER.issuperset(map(type, scores)):
-        raise DatasetError(f"line {lineno} (id={rid!r}): field 'scores' must be a list of numbers")
-    if clamp_scores:
-        scores = _clamped(scores)
-    for j, s in enumerate(scores):
-        try:
-            float(s)
-        except OverflowError:  # an integer beyond the float range
-            raise DatasetError(
-                f"line {lineno} (id={rid!r}): scores[{j}] is outside the range of a float"
-            ) from None
-    indices = rec["explanation_indices"]
-    if type(indices) is not list or not _INT.issuperset(map(type, indices)):
-        raise DatasetError(
-            f"line {lineno} (id={rid!r}): field 'explanation_indices' must be a list of integers"
-        )
-    answer = rec.get("answer")
-    if answer is not None and type(answer) is not str:
-        raise DatasetError(f"line {lineno} (id={rid!r}): field 'answer' must be a string or null")
-    return CalibrationExample(
-        question=TokenizedQuestion(id=rid, tokens=tuple(tokens)),
-        scores=ImportanceScores(tuple(scores)),
-        explanation=GroundTruthExplanation(frozenset(indices)),
-        answer=answer,
-    )
-
-
-def _clamped(scores: list) -> list:
-    """Numbers clamped into [0, 1], an integer beyond the float range and an
-    infinity alike; NaN stays, to be rejected as not finite."""
-    return [s if s != s else min(1.0, max(0.0, s)) for s in scores]
-
-
 def load_dataset(path: str | Path, clamp_scores: bool = False) -> ScoredArrays:
     """Read a JSON Lines dataset, validating every record.
 
@@ -290,9 +240,9 @@ def load_dataset(path: str | Path, clamp_scores: bool = False) -> ScoredArrays:
     Errors name the offending line, record and field; a repeated id is
     rejected with the lines of both records.
 
-    Each line is read once, checked and appended to the flat lists of
-    ``ScoredArrays``. Only a record that fails a check is built as an
-    example, to raise the message of the schema checks and ``validate_example``.
+    Each line is read once, checked by one per-record rule and appended to
+    the flat lists of ``ScoredArrays``. A record that breaks an invariant is
+    built as an example, and ``validate_example`` names every violation.
     """
     path = Path(path)
     first_line: dict[str, int] = {}  # its keys are the ids, in file order
@@ -323,29 +273,54 @@ def load_dataset(path: str | Path, clamp_scores: bool = False) -> ScoredArrays:
                               np.array(positions, dtype=np.int64))
 
 
+_STR, _NUMBER, _INT = frozenset({str}), frozenset({int, float}), frozenset({int})
+
+
 def _checked_row(rec: Any, lineno: int, clamp_scores: bool) -> tuple:
     """A parsed line's (id, tokens, scores, indices, answer), its scores
-    clamped if asked. A line that fails any check of ``_record_to_example``
-    or ``validate_example`` raises the error they give it."""
+    clamped if asked, or the error it breaks: the first schema error, with
+    exact types so a JSON true or false is no number, else every violation
+    ``validate_example`` names."""
     try:
         rid, toks, vals, idx = rec["id"], rec["tokens"], rec["scores"], rec["explanation_indices"]
         answer = rec.get("answer")
-    except (KeyError, TypeError):  # a missing field, or a line that is no JSON object
-        rid = None  # fails the first check below
-    # an empty token list fails the index bounds
-    if (type(rid) is str and rid and type(toks) is list and type(vals) is list
-            and type(idx) is list and (answer is None or type(answer) is str)
-            and _STR.issuperset(map(type, toks)) and all(toks) and len(vals) == len(toks)
-            and _NUMBER.issuperset(map(type, vals))
-            and _INT == set(map(type, idx)) and 0 <= min(idx) and max(idx) < len(toks)):
-        if clamp_scores:
-            vals = _clamped(vals)
-        # min and max pass over a NaN that is not first; the sum does not
-        if 0.0 <= min(vals) and max(vals) <= 1.0 and not math.isnan(sum(vals)):
-            return rid, toks, vals, idx, answer
-    example = _record_to_example(rec, lineno, clamp_scores)
-    raise DatasetError(f"line {lineno} (id={example.question.id!r}): "
-                       + "; ".join(validate_example(example)))
+    except KeyError as e:  # the fields are read in order, so this is the first one missing
+        raise DatasetError(f"line {lineno}: missing field {e.args[0]!r}") from None
+    except TypeError:  # an array, string, number or null
+        raise DatasetError(f"line {lineno}: record must be a JSON object") from None
+    if type(rid) is not str:
+        raise DatasetError(f"line {lineno}: field 'id' must be a string")
+    if type(toks) is not list or not _STR.issuperset(map(type, toks)):
+        raise DatasetError(f"line {lineno} (id={rid!r}): field 'tokens' must be a list of strings")
+    if type(vals) is not list or not _NUMBER.issuperset(map(type, vals)):
+        raise DatasetError(f"line {lineno} (id={rid!r}): field 'scores' must be a list of numbers")
+    if clamp_scores:  # a huge integer clamps like an infinity; NaN stays, to fail as not finite
+        vals = [s if s != s else min(1.0, max(0.0, s)) for s in vals]
+    in_range = not vals or (0.0 <= min(vals) and max(vals) <= 1.0)
+    if not in_range:  # only then can a score be an integer beyond the float range
+        for j, s in enumerate(vals):
+            try:
+                float(s)
+            except OverflowError:
+                raise DatasetError(
+                    f"line {lineno} (id={rid!r}): scores[{j}] is outside the range of a float"
+                ) from None
+    if type(idx) is not list or not _INT.issuperset(map(type, idx)):
+        raise DatasetError(
+            f"line {lineno} (id={rid!r}): field 'explanation_indices' must be a list of integers"
+        )
+    if answer is not None and type(answer) is not str:
+        raise DatasetError(f"line {lineno} (id={rid!r}): field 'answer' must be a string or null")
+    # min and max pass over a NaN that is not first, the sum does not; an
+    # empty token list fails the index bounds
+    if (in_range and rid and all(toks) and len(vals) == len(toks) and idx
+            and 0 <= min(idx) and max(idx) < len(toks) and not math.isnan(sum(vals))):
+        return rid, toks, vals, idx, answer
+    example = CalibrationExample(question=TokenizedQuestion(id=rid, tokens=tuple(toks)),
+                                 scores=ImportanceScores(tuple(vals)),
+                                 explanation=GroundTruthExplanation(frozenset(idx)),
+                                 answer=answer)
+    raise DatasetError(f"line {lineno} (id={rid!r}): " + "; ".join(validate_example(example)))
 
 
 def write_dataset(arrays: ScoredArrays, path: str | Path) -> None:
@@ -392,16 +367,20 @@ def split_dataset(dataset: ScoredArrays, fraction: float,
 
 
 def _write_atomic(path: str | Path, text: str | Iterable[str]) -> None:
-    """Write ``text``, or the strings it yields, to a temp file renamed over ``path``."""
+    """Write ``text``, or the strings it yields, to a temp file renamed over
+    ``path``. As with ``open``, a new file is 0666 less the umask and an
+    existing one keeps its mode; the umask is never set, as threads write too."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
+    tmp = path.with_name(f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.writelines([text] if isinstance(text, str) else text)
+        with contextlib.suppress(FileNotFoundError):
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -143,6 +145,47 @@ class TestLoadWriteRoundTrip:
         write_dataset(ds, path)
         loaded = load_dataset(path)
         assert loaded.ids == ds.ids
+
+
+# Writes a dataset, a score-cache entry and a calibration, and overwrites a
+# 0640 file with a second calibration; its last line of output is every file's mode.
+WRITE_ALL = """
+import json, os, stat, sys
+from pathlib import Path
+from tokencover.cli import main
+from tokencover.core import write_dataset
+from tokencover.scorer import ScoreCache
+from tokencover.sim import SyntheticConfig, generate_synthetic_dataset
+
+root = Path(sys.argv[1])
+write_dataset(generate_synthetic_dataset(SyntheticConfig(n_calibration=10, n_test=10)),
+              root / "data.jsonl")
+ScoreCache(root / "cache").put("k", (0.5,))
+(root / "old.json").write_text("old")
+os.chmod(root / "old.json", 0o640)
+for out in ("calib.json", "old.json"):
+    assert main(["calibrate", "--dataset", str(root / "data.jsonl"), "--alpha", "0.3",
+                 "--out", str(root / out)]) == 0
+print(json.dumps({p.name: stat.S_IMODE(p.stat().st_mode) for p in root.rglob("*") if p.is_file()}))
+"""
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs POSIX file modes")
+class TestFileModes:
+    """Written files get the mode ``open`` would give them: 0666 less the
+    umask, or an overwritten file's own mode. The umask is process-wide, so
+    each case runs in a child process with its own."""
+
+    @pytest.mark.parametrize("umask, new", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask-022", "umask-077"])
+    def test_new_files_follow_umask_and_overwritten_keep_mode(self, tmp_path, umask, new):
+        child = subprocess.run([sys.executable, "-c", WRITE_ALL, str(tmp_path)], umask=umask,
+                               capture_output=True, text=True)
+        assert child.returncode == 0, child.stderr
+        last = json.loads(child.stdout.splitlines()[-1])
+        modes = {name: oct(mode) for name, mode in last.items()}
+        assert modes == {"data.jsonl": oct(new), "k.json": oct(new), "calib.json": oct(new),
+                         "old.json": oct(0o640)}
 
 
 class TestLoadDatasetErrors:

@@ -17,10 +17,11 @@ from tokencover.cli import EXIT_INPUT, EXIT_OK, main
 from tokencover.core import (
     CalibrationExample,
     DatasetError,
+    GroundTruthExplanation,
+    ImportanceScores,
     ScoredArrays,
-    _record_to_example,
+    TokenizedQuestion,
     load_dataset,
-    validate_example,
     write_dataset,
 )
 
@@ -38,9 +39,9 @@ def rec(**fields) -> str:
     base.update(fields)
     return json.dumps({k: v for k, v in base.items() if v is not DROP})
 
-# One case per message of _record_to_example and validate_example, on line 2
-# after a valid line 1. validate_example's "answer must be a string or null"
-# cannot come from a file: the schema check on 'answer' comes first.
+# One case per message of the reference below, on line 2 after a valid line
+# 1. The invariant "answer must be a string or null" cannot come from a file:
+# the schema check on 'answer' comes first.
 PARITY = [
     (rec(scores=DROP), "line 2: missing field 'scores'"),
     (rec(id=3), "line 2: field 'id' must be a string"),
@@ -73,6 +74,9 @@ PARITY = [
     ("{bad", "line 2: invalid JSON: Expecting property name enclosed in double quotes: "
              "line 1 column 2 (char 1)"),
     ("[1, 2]", "line 2: record must be a JSON object"),
+    ("5", "line 2: record must be a JSON object"),
+    ('"x"', "line 2: record must be a JSON object"),
+    ("null", "line 2: record must be a JSON object"),
     (rec(id="a"), "line 2: duplicate id 'a', first used on line 1"),
 ]
 
@@ -83,16 +87,76 @@ def write_lines(tmp_path, *lines: str):
     return path
 
 
+def reference_example(rec, lineno: int, clamp_scores: bool) -> CalibrationExample:
+    """One parsed line as an example, or the first schema error it breaks,
+    written apart from the loader. Types are exact: a JSON true is no number."""
+    if type(rec) is not dict:
+        raise DatasetError(f"line {lineno}: record must be a JSON object")
+    for name in ("id", "tokens", "scores", "explanation_indices"):
+        if name not in rec:
+            raise DatasetError(f"line {lineno}: missing field {name!r}")
+    rid = rec["id"]
+    if type(rid) is not str:
+        raise DatasetError(f"line {lineno}: field 'id' must be a string")
+    where = f"line {lineno} (id={rid!r})"
+    tokens = rec["tokens"]
+    if type(tokens) is not list or any(type(t) is not str for t in tokens):
+        raise DatasetError(f"{where}: field 'tokens' must be a list of strings")
+    scores = rec["scores"]
+    if type(scores) is not list or any(type(s) not in (int, float) for s in scores):
+        raise DatasetError(f"{where}: field 'scores' must be a list of numbers")
+    if clamp_scores:
+        scores = [s if s != s else min(1.0, max(0.0, s)) for s in scores]  # NaN stays
+    for j, s in enumerate(scores):
+        try:
+            float(s)
+        except OverflowError:
+            raise DatasetError(f"{where}: scores[{j}] is outside the range of a float") from None
+    indices = rec["explanation_indices"]
+    if type(indices) is not list or any(type(i) is not int for i in indices):
+        raise DatasetError(f"{where}: field 'explanation_indices' must be a list of integers")
+    answer = rec.get("answer")
+    if answer is not None and type(answer) is not str:
+        raise DatasetError(f"{where}: field 'answer' must be a string or null")
+    return CalibrationExample(question=TokenizedQuestion(id=rid, tokens=tuple(tokens)),
+                              scores=ImportanceScores(tuple(scores)),
+                              explanation=GroundTruthExplanation(frozenset(indices)),
+                              answer=answer)
+
+
+def reference_problems(example: CalibrationExample) -> list[str]:
+    """Every invariant violation of an example, in the order the loader names them."""
+    q, values, indices = example.question, example.scores.values, example.explanation.indices
+    k = len(q.tokens)
+    problems = [] if q.id else ["id must be a non-empty string"]
+    if k == 0:
+        problems.append("tokens must be non-empty")
+    problems += [f"tokens[{j}] must be a non-empty string"
+                 for j, t in enumerate(q.tokens) if not t]
+    if len(values) != k:
+        problems.append(f"scores has length {len(values)}, expected {k}")
+    for j, v in enumerate(values):
+        if not math.isfinite(v):
+            problems.append(f"scores[{j}] is not finite")
+        elif not 0.0 <= v <= 1.0:
+            problems.append(f"scores[{j}]={v!r} outside [0, 1]")
+    if not indices:
+        problems.append("explanation_indices must be non-empty")
+    problems += [f"explanation index {j} outside [0, {k})" for j in sorted(indices)
+                 if not 0 <= j < k]
+    return problems
+
+
 def per_line(path, clamp_scores: bool = False) -> tuple[CalibrationExample, ...]:
-    """The reference build of a file of JSON objects with distinct ids: each
-    line made with ``_record_to_example`` and checked with ``validate_example``,
+    """The reference build of a file of records with distinct ids: each line
+    made with ``reference_example`` and checked with ``reference_problems``,
     raising the first bad line's error."""
     examples = []
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
-        example = _record_to_example(json.loads(line), lineno, clamp_scores)
-        problems = validate_example(example)
+        example = reference_example(json.loads(line), lineno, clamp_scores)
+        problems = reference_problems(example)
         if problems:
             raise DatasetError(f"line {lineno} (id={example.question.id!r}): "
                                + "; ".join(problems))
@@ -157,7 +221,7 @@ class TestReadOnce:
 
 
 # Field values for the loader's checks: valid ones, and ones that each break
-# one check of _record_to_example or validate_example.
+# one check of the reference.
 VARIANTS = {
     "id": ["b", "", 3, None, True, DROP],
     "tokens": [["x", "y"], [], "xy", ["x"], ["x", ""], ["x", 1], ["x", "y", "z"]],

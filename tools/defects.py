@@ -168,6 +168,17 @@ DEFECTS = [
            "src/tokencover/cli.py",
            "risk_curve(step, grid[start:start + _CURVE_CHUNK])",
            "risk_curve(step, grid[start:start + _CURVE_CHUNK - 1])"),
+    Defect("AF", "the loader checks the type of `answer` before that of `explanation_indices`",
+           "src/tokencover/core.py",
+           "    if type(idx) is not list or not _INT.issuperset(map(type, idx)):\n",
+           "    if answer is not None and type(answer) is not str:\n"
+           "        raise DatasetError(\n"
+           "            f\"line {lineno} (id={rid!r}): field 'answer' must be a string or null\")\n"
+           "    if type(idx) is not list or not _INT.issuperset(map(type, idx)):\n"),
+    Defect("AG", "the atomic writer makes its temp file with `tempfile.mkstemp`, so it is 0600",
+           "src/tokencover/core.py",
+           "fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)",
+           'fd, tmp = __import__("tempfile").mkstemp(dir=path.parent, suffix=".tmp")'),
 ]
 
 
