@@ -11,11 +11,12 @@ question never loses a (position, token) item that the plain set on the
 clean question would have kept.
 
 Coverage is judged by one pair rule: a ground-truth item is the pair
-(position, clean token), and only that exact pair covers it. ``_pair_stats``
-applies the rule to the flat items of many questions at once, the form the
-Monte Carlo trials use, and ``evaluate_pairs`` and ``evaluate_robust`` apply
-it to one question. ``_superset_holds`` is the flat check of the guarantee
-above.
+(position, clean token), and only that exact pair covers it.
+``evaluate_pairs`` and ``evaluate_robust`` apply it to one question by set
+arithmetic. The Monte Carlo trials fold flat items onto positions with
+``_fold`` and read the folds with the plain set rule ``sets._set_stats``: a
+robust set is the plain threshold rule on per-position worst-case scores.
+``_superset_holds`` is the flat check of the guarantee above.
 """
 
 from __future__ import annotations
@@ -358,57 +359,29 @@ class RobustEvaluation:
         return asdict(self)
 
 
-def _pair_stats(
-    question: np.ndarray,
-    position: np.ndarray,
-    clean: np.ndarray,
-    in_truth: np.ndarray,
-    selected: np.ndarray,
-    truth_sizes: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The pair rule of ``evaluate_pairs``, over many questions' items at once.
+def _fold(flat: np.ndarray, score: np.ndarray, size: int) -> np.ndarray:
+    """The largest item score at each of ``size`` flat positions, -inf where
+    no item lands; item i sits at ``flat[i]``.
 
-    Item i is a (position, token) pair of question ``question[i]``, at
-    ``position[i]``; ``clean[i]`` says its token is the clean question's token
-    there and ``in_truth[i]`` that the position is a ground-truth position, so
-    an item with both is a ground-truth pair. No pair repeats within a
-    question, and the items may come in any order. For the ``selected``
-    items, returns per question (one entry per ``truth_sizes``) the item
-    count, the count of distinct positions, the covered ground-truth pairs
-    and the coverage loss, the share of ground-truth pairs not covered. A
-    synonym at a truth position covers nothing.
+    ``_kept`` is monotone in the score, so ``_set_stats`` on a fold keeps a
+    position exactly when the items keep one there. A position has at most one
+    clean-token item, so their fold keeps exactly the covering pairs.
     """
-    n = truth_sizes.size
-    q, p = question[selected], position[selected]
-    order = np.lexsort((p, q))
-    q, p = q[order], p[order]
-    first = np.ones(q.size, dtype=bool)
-    first[1:] = (q[1:] != q[:-1]) | (p[1:] != p[:-1])
-    n_items = np.bincount(q, minlength=n)
-    n_positions = np.bincount(q[first], minlength=n)
-    covered = np.bincount(question[selected & clean & in_truth], minlength=n)
-    return n_items, n_positions, covered, 1.0 - covered / truth_sizes
+    best = np.full(size, -np.inf)
+    np.maximum.at(best, flat, score)
+    return best
 
 
 def _superset_holds(
-    question: np.ndarray,
-    position: np.ndarray,
-    clean: np.ndarray,
-    selected: np.ndarray,
-    clean_kept: np.ndarray,
-    offsets: np.ndarray,
+    covering: np.ndarray, scores: np.ndarray, offsets: np.ndarray, lam: float
 ) -> np.ndarray:
-    """Per question, whether the selected items hold (j, clean token) for every
-    position j of the plain set on the clean question.
-
-    Items are as in ``_pair_stats``. ``clean_kept`` is that plain set for all
-    questions, a flat mask in which question i owns
-    ``offsets[i]:offsets[i + 1]``; every question has at least one token.
+    """Per question, whether ``covering``, the fold of a robust table's
+    (position, clean token) items, keeps every position that the plain set on
+    the clean scores ``scores`` keeps at ``lam``. Question i owns
+    ``offsets[i]:offsets[i + 1]`` of both and has at least one token.
     """
-    robust = np.zeros(clean_kept.size, dtype=bool)
-    hit = selected & clean
-    robust[offsets[question[hit]] + position[hit]] = True
-    return np.logical_and.reduceat(robust | ~clean_kept, offsets[:-1])
+    holds = _kept(covering, lam) | ~_kept(scores, lam)
+    return np.logical_and.reduceat(holds, offsets[:-1])
 
 
 def evaluate_pairs(
@@ -420,28 +393,20 @@ def evaluate_pairs(
 
     A ground-truth item is the pair (position, clean token string); it counts
     as covered only when ``pairs`` holds exactly that pair, so a synonym at
-    the right position does not cover it. This is ``_pair_stats`` for one
-    question.
+    the right position does not cover it. This is set arithmetic on one
+    question, the reference for the flat folds of the Monte Carlo trials.
     """
     if len(truth.indices) == 0:
         raise ValueError("ground-truth explanation is empty")
     tokens = clean_question.tokens
-    listed = list(pairs)
-    n_items, n_positions, covered, losses = _pair_stats(
-        np.zeros(len(listed), dtype=np.int64),
-        np.array([j for j, _ in listed], dtype=np.int64),
-        np.array([0 <= j < len(tokens) and tokens[j] == tok for j, tok in listed], dtype=bool),
-        np.array([j in truth.indices for j, _ in listed], dtype=bool),
-        np.ones(len(listed), dtype=bool),
-        np.array([len(truth.indices)]),
-    )
+    covered = sum(0 <= j < len(tokens) and (j, tokens[j]) in pairs for j in truth.indices)
     return RobustEvaluation(
         question_id=clean_question.id,
-        loss=float(losses[0]),
-        n_items=int(n_items[0]),
-        n_positions=int(n_positions[0]),
+        loss=1.0 - covered / len(truth.indices),
+        n_items=len(pairs),
+        n_positions=len({j for j, _ in pairs}),
         truth_size=len(truth.indices),
-        covered=int(covered[0]),
+        covered=covered,
     )
 
 

@@ -8,7 +8,8 @@ One comparison, ``_kept``, decides membership everywhere: ``build_set``
 applies it to one question's scores, ``robust.threshold_robust_scores`` to
 robust scores, and ``_set_stats`` to the flat scores of many questions at
 once, giving each one's set size and loss. The CLI's ``predict`` and
-``stats`` and the plain Monte Carlo trials read ``_set_stats``.
+``stats`` and the Monte Carlo trials read ``_set_stats``; a robust trial
+reads it on the per-position maxima of its robust items (``robust._fold``).
 
 ``_score_batch`` scores ``predict``'s questions with one ``score_many`` call
 per chunk, whatever the scorer; any concurrency is the scorer's own.

@@ -16,12 +16,12 @@ set rule of ``sets`` (``_set_stats``, the flat form of ``build_set`` and
 robust trial lists each noisy question's coordinatewise table with
 ``robust._candidate_pairs``, the oracle being context-free; a clean-token
 item takes its materialized score, and all other items are drawn in one call
-of the oracle-noise rule ``scorer._oracle_scores``. Per alpha it applies
-``sets._kept`` once, and the flat pair rule ``robust._pair_stats`` (the
-array form of ``evaluate_pairs``) to all kept items for the robust loss, set
-size and item count, and to the kept noisy-token items for the comparator,
-the plain set on the noisy question; ``robust._superset_holds`` checks that
-the robust set keeps each pair of the plain set on the clean question. With
+of the oracle-noise rule ``scorer._oracle_scores``. ``robust._fold`` takes
+the largest score at each position over all items, the clean-token items,
+the noisy-token items (the comparator, the plain set on the noisy question)
+and the items that are both, and per alpha ``_set_stats`` reads the folds
+for set sizes and losses; ``robust._superset_holds`` checks that the robust
+set keeps each pair of the plain set on the clean question. With
 ``workers`` above 1, trials run in spawned processes.
 """
 
@@ -40,7 +40,7 @@ from .core import ScoredArrays, split_dataset
 from .robust import (
     SynonymLexicon,
     _candidate_pairs,
-    _pair_stats,
+    _fold,
     _superset_holds,
     inject_noise,
 )
@@ -196,12 +196,12 @@ def _split_counts(config: SyntheticConfig, dataset: ScoredArrays,
 
 def _robust_items(
     config: SyntheticConfig, test: ScoredArrays, trial_seed: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Perturb every test question and flatten its robust table into items.
 
     Returns parallel arrays with one entry per (position, candidate) item of
-    every noisy question's coordinatewise table: the question's index in
-    ``test``, the position, the robust score (the oracle's score of the
+    every noisy question's coordinatewise table: the flat index of its
+    position in ``test``, the robust score (the oracle's score of the
     candidate there), whether the candidate is the clean token there, and
     whether it is the noisy token. Only test questions are perturbed, so the
     lexicon needs only their tokens.
@@ -221,17 +221,16 @@ def _robust_items(
         candidate += cands
         clean += [c == q.tokens[j] for j, c in zip(js, cands)]
         noisy_token += [c == noisy.tokens[j] for j, c in zip(js, cands)]
-    question = np.repeat(np.arange(len(counts)), counts)
     pos = np.array(position, dtype=np.int64)
     is_clean = np.array(clean, dtype=bool)
-    flat = test.offsets[question] + pos
+    flat = np.repeat(test.offsets[:-1], counts) + pos
     score = test.scores[flat]
     drawn = np.flatnonzero(~is_clean)
     score[drawn] = _oracle_scores(
         test.truth[flat[drawn]].tolist(), config.sigma, _scorer_seed(trial_seed),
         pos[drawn].tolist(), [candidate[i] for i in drawn.tolist()],
     )
-    return question, pos, score, is_clean, np.array(noisy_token, dtype=bool)
+    return flat, score, is_clean, np.array(noisy_token, dtype=bool)
 
 
 def _run_trial(
@@ -252,31 +251,28 @@ def _run_trial(
     results = [calibrate_mode(step, a, mode) for a in alphas]
 
     if robust:
-        question, position, score, clean, noisy = _robust_items(config, test, trial_seed)
-        starts = test.offsets[:-1]
-        in_truth = test.truth[starts[question] + position]
-        truth_sizes = np.add.reduceat(test.truth, starts, dtype=np.int64)
+        flat, score, clean, noisy = _robust_items(config, test, trial_seed)
+        size = test.scores.size
+        touched = _fold(flat, score, size)
+        covering = _fold(flat[clean], score[clean], size)
+        # the comparator: the plain set on the noisy question
+        comparator = _fold(flat[noisy], score[noisy], size)
+        comparator_covering = _fold(flat[clean & noisy], score[clean & noisy], size)
     rows = []
     for res in results:
         lam = res.lambda_hat
         row: dict[str, Any] = {"mean_lambda": lam, "feasibility_rate": float(res.feasible)}
+        at = (test.offsets, test.truth, lam)
         if not robust:
-            _, row["mean_set_size"], row["mean_loss"] = _set_stats(
-                test.scores, test.offsets, test.truth, lam
-            )
+            _, row["mean_set_size"], row["mean_loss"] = _set_stats(test.scores, *at)
         else:
-            kept = _kept(score, lam)
-            row["mean_n_items"], row["mean_set_size"], _, row["mean_loss"] = _pair_stats(
-                question, position, clean, in_truth, kept, truth_sizes
-            )
-            # the comparator: the plain set on the noisy question
-            _, row["comparator_mean_set_size"], _, row["comparator_mean_loss"] = _pair_stats(
-                question, position, clean, in_truth, kept & noisy, truth_sizes
-            )
+            _, row["mean_set_size"], _ = _set_stats(touched, *at)
+            _, _, row["mean_loss"] = _set_stats(covering, *at)
+            _, row["comparator_mean_set_size"], _ = _set_stats(comparator, *at)
+            _, _, row["comparator_mean_loss"] = _set_stats(comparator_covering, *at)
+            row["mean_n_items"] = np.count_nonzero(_kept(score, lam)) / len(test)
             # the materialized scores are the plain scores of the clean questions
-            row["superset_rate"] = _superset_holds(
-                question, position, clean, kept, _kept(test.scores, lam), test.offsets
-            )
+            row["superset_rate"] = _superset_holds(covering, test.scores, test.offsets, lam)
         rows.append({key: float(np.mean(v)) for key, v in row.items()})
     return rows
 

@@ -21,7 +21,7 @@ from tokencover.robust import (
     BallSpec,
     RobustUncertaintySet,
     SynonymLexicon,
-    _pair_stats,
+    _fold,
     _superset_holds,
     auto_ball_mode,
     ball_size,
@@ -41,7 +41,7 @@ from tokencover.scorer import (
     TableScorer,
     UniformRandomScorer,
 )
-from tokencover.sets import _kept, build_set
+from tokencover.sets import _kept, _set_stats, build_set
 
 
 def q(tokens, qid="q0"):
@@ -511,8 +511,9 @@ class TestEvaluateRobust:
 
 
 class TestFlatPairRule:
-    """The array form of ``evaluate_pairs`` that robust trials apply to all
-    test questions at once, and its superset comparison."""
+    """The flat form of ``evaluate_pairs`` that robust trials apply to all
+    test questions at once: items folded onto positions with ``_fold`` and
+    read with the plain set rule ``_set_stats``, and the superset check."""
 
     # question, position, token: a hand-built table of two clean questions,
     # q0 = ("good", "day") with truth {0, 1} and q1 = ("big", "cat", "sat")
@@ -521,20 +522,32 @@ class TestFlatPairRule:
              (0, 0, "good"), (1, 1, "dog"), (1, 0, "big")]
     CLEAN = (("good", "day"), ("big", "cat", "sat"))
     TRUTH = ({0, 1}, {1})
+    OFFSETS = np.array([0, 2, 5])
+    LAM = 0.5
 
-    def columns(self):
-        question = np.array([i for i, _, _ in self.ITEMS])
-        position = np.array([j for _, j, _ in self.ITEMS])
+    def columns(self, selected):
+        """Flat index, clean flag and score of each item, and the flat truth
+        mask; a selected item scores 1 and is kept at ``LAM``, the others 0."""
+        flat = np.array([self.OFFSETS[i] + j for i, j, _ in self.ITEMS])
         clean = np.array([tok == self.CLEAN[i][j] for i, j, tok in self.ITEMS])
-        in_truth = np.array([j in self.TRUTH[i] for i, j, _ in self.ITEMS])
-        return question, position, clean, in_truth
+        score = np.array(selected, dtype=float)
+        truth = np.array([j in t for t, tokens in zip(self.TRUTH, self.CLEAN)
+                          for j in range(len(tokens))])
+        return flat, clean, score, truth
+
+    def stats(self, selected):
+        flat, clean, score, truth = self.columns(selected)
+        question = np.array([i for i, _, _ in self.ITEMS])
+        n_items = [np.count_nonzero(_kept(score[question == i], self.LAM)) for i in range(2)]
+        _, n_positions, _ = _set_stats(_fold(flat, score, 5), self.OFFSETS, truth, self.LAM)
+        covering = _fold(flat[clean], score[clean], 5)
+        kept, _, losses = _set_stats(covering, self.OFFSETS, truth, self.LAM)
+        covered = np.add.reduceat(kept & truth, self.OFFSETS[:-1])
+        return n_items, n_positions, covered, losses
 
     def test_matches_set_arithmetic_on_every_selection(self):
-        question, position, clean, in_truth = self.columns()
-        truth_sizes = np.array([len(t) for t in self.TRUTH])
         for selected in itertools.product([False, True], repeat=len(self.ITEMS)):
-            n_items, n_positions, covered, losses = _pair_stats(
-                question, position, clean, in_truth, np.array(selected), truth_sizes)
+            n_items, n_positions, covered, losses = self.stats(selected)
             for i, tokens in enumerate(self.CLEAN):
                 pairs = {(j, tok) for (qi, j, tok), s in zip(self.ITEMS, selected)
                          if s and qi == i}
@@ -545,11 +558,9 @@ class TestFlatPairRule:
                 assert losses[i] == 1.0 - hits / len(self.TRUTH[i])
 
     def test_synonym_at_truth_position_covers_nothing(self):
-        question, position, clean, in_truth = self.columns()
         # q0 keeps only the synonym "fine" at truth position 0; q1 only "dog"
-        selected = np.array([tok in ("fine", "dog") for _, _, tok in self.ITEMS])
-        _, n_positions, covered, losses = _pair_stats(
-            question, position, clean, in_truth, selected, np.array([2, 1]))
+        selected = [tok in ("fine", "dog") for _, _, tok in self.ITEMS]
+        _, n_positions, covered, losses = self.stats(selected)
         assert n_positions.tolist() == [1, 1]
         assert covered.tolist() == [0, 0]
         assert losses.tolist() == [1.0, 1.0]
@@ -558,17 +569,14 @@ class TestFlatPairRule:
         # three questions of two tokens each; the plain set on each clean
         # question keeps both positions
         offsets = np.array([0, 2, 4, 6])
-        clean_kept = np.ones(6, dtype=bool)
+        scores = np.full(6, 0.9)
         # q0 has both clean pairs, q1 has only a synonym at position 1, and
         # q2 has its clean pair at position 0 below the cutoff
-        question = np.array([0, 0, 1, 1, 2, 2, 2])
-        position = np.array([0, 1, 0, 1, 0, 0, 1])
+        flat = np.array([0, 1, 2, 3, 4, 4, 5])
         clean = np.array([True, True, True, False, True, False, True])
         score = np.array([0.9, 0.8, 0.9, 0.9, 0.2, 0.9, 0.9])
-        selected = _kept(score, 0.5)
-        holds = _superset_holds(question, position, clean, selected, clean_kept, offsets)
-        assert holds.tolist() == [True, False, False]
+        covering = _fold(flat[clean], score[clean], 6)
+        assert _superset_holds(covering, scores, offsets, 0.5).tolist() == [True, False, False]
         # a position the clean plain set does not keep needs no robust pair
-        clean_kept[[3, 4]] = False
-        holds = _superset_holds(question, position, clean, selected, clean_kept, offsets)
-        assert holds.tolist() == [True, True, True]
+        scores[[3, 4]] = 0.1
+        assert _superset_holds(covering, scores, offsets, 0.5).tolist() == [True, True, True]

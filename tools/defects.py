@@ -52,9 +52,9 @@ DEFECTS = [
            'np.searchsorted(self._truth, 1.0 - lam, side="left")',
            'np.searchsorted(self._truth, 1.0 - lam, side="right")'),
     Defect("C", "the flat (position, clean token) pair rule matches by position only",
-           "src/tokencover/robust.py",
-           "covered = np.bincount(question[selected & clean & in_truth], minlength=n)",
-           "covered = np.bincount(q[first & in_truth[selected][order]], minlength=n)"),
+           "src/tokencover/sim.py",
+           "covering = _fold(flat[clean], score[clean], size)",
+           "covering = _fold(flat, score, size)"),
     Defect("E", "the set rule counts kept tokens, not kept truth tokens, as covered",
            "src/tokencover/sets.py",
            "covered = np.add.reduceat(kept & truth, starts, dtype=np.int64)",
@@ -65,7 +65,7 @@ DEFECTS = [
            "noisy = q"),
     Defect("S", "the flat superset check always passes",
            "src/tokencover/robust.py",
-           "return np.logical_and.reduceat(robust | ~clean_kept, offsets[:-1])",
+           "return np.logical_and.reduceat(holds, offsets[:-1])",
            "return np.ones(offsets.size - 1, dtype=bool)"),
     Defect("R", "the row selection of `split_dataset` keeps the truth mask in the parent's order",
            "src/tokencover/core.py",
@@ -179,6 +179,10 @@ DEFECTS = [
            "src/tokencover/core.py",
            "fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)",
            'fd, tmp = __import__("tempfile").mkstemp(dir=path.parent, suffix=".tmp")'),
+    Defect("AH", "the flat fold `_fold` assigns item scores instead of taking the maximum",
+           "src/tokencover/robust.py",
+           "np.maximum.at(best, flat, score)",
+           "best[flat] = score"),
 ]
 
 
@@ -201,7 +205,8 @@ def run(defect: Defect, select: list[str]) -> tuple[str, float]:
         start = time.perf_counter()
         proc = subprocess.run(TIER1 + select, cwd=copy, env=env, capture_output=True, text=True)
         seconds = time.perf_counter() - start
-    failed = re.findall(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, flags=re.MULTILINE)
+    # a parametrized id may hold spaces; pytest ends the id with " - " and a reason
+    failed = re.findall(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", proc.stdout, flags=re.MULTILINE)
     if failed:
         return f"caught by `{failed[0]}`", seconds
     if proc.returncode == 0:
