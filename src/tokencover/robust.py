@@ -10,6 +10,10 @@ sets are symmetric and self-inclusive), the robust set built from a noisy
 question never loses a (position, token) item that the plain set on the
 clean question would have kept.
 
+One table rule serves one question or many: ``_candidate_pairs`` lists the
+coordinatewise (position, candidate) pairs and the scorer's ``score_tokens``
+scores them, for ``robust_scores`` and for the Monte Carlo trials.
+
 Coverage is judged by one pair rule: a ground-truth item is the pair
 (position, clean token), and only that exact pair covers it.
 ``evaluate_pairs`` and ``evaluate_robust`` apply it to one question by set
@@ -240,16 +244,17 @@ def enumerate_ball(
     return _iter_ball(question, lexicon, spec.d)
 
 
-def _candidate_pairs(tokens: Sequence[str], lexicon: SynonymLexicon,
-                     d: int) -> tuple[list[int], list[str]]:
-    """The (position, candidate) pairs of a coordinatewise robust table, as
-    parallel lists: at each position, every synonym of its token in sorted
-    order. With d = 0 no substitution can realize any candidate besides the
-    observed token, so each position has only its own token."""
-    if d == 0:
-        return list(range(len(tokens))), list(tokens)
-    syns = [sorted(lexicon.synonyms(tok)) for tok in tokens]
-    return [j for j, s in enumerate(syns) for _ in s], [c for s in syns for c in s]
+def _candidate_pairs(questions: Sequence[TokenizedQuestion], lexicon: SynonymLexicon,
+                     d: int) -> tuple[list[int], list[int], list[str]]:
+    """The items of the coordinatewise robust tables of ``questions``, as
+    parallel lists of owner (the question's index), position and candidate:
+    at each position, every synonym of its token in sorted order. With d = 0
+    no substitution can realize any candidate besides the observed token, so
+    each position has only its own token."""
+    syns = [(i, j, [tok] if d == 0 else sorted(lexicon.synonyms(tok)))
+            for i, q in enumerate(questions) for j, tok in enumerate(q.tokens)]
+    return ([i for i, _, s in syns for _ in s], [j for _, j, s in syns for _ in s],
+            [c for _, _, s in syns for c in s])
 
 
 def robust_scores(
@@ -260,21 +265,21 @@ def robust_scores(
 ) -> dict[tuple[int, str], float]:
     """Worst-case-best score for every attainable (position, candidate) pair.
 
+    The pairs are the question's coordinatewise table, ``_candidate_pairs``.
     Exact mode scores every ball member once and keeps, per pair, the maximum
     score seen at that position among members carrying the candidate there:
     one ``scorer.score_many`` call per chunk of ``_SCORE_CHUNK`` members, and
     ``np.maximum.at`` folds each chunk into the running maximum per pair.
-    Coordinatewise mode substitutes one token at a time, which is equal to
-    the exact maximum whenever the scorer is context-free; any other scorer's
-    ``score_tokens`` refuses it.
+    Coordinatewise mode scores each pair alone with ``scorer.score_tokens``,
+    which is equal to the exact maximum whenever the scorer is context-free;
+    any other scorer's ``score_tokens`` refuses it.
     """
-    if spec.mode == "coordinatewise":
-        positions, candidates = _candidate_pairs(question.tokens, lexicon, spec.d)
-        scores = scorer.score_tokens(question, positions, candidates)
-        return dict(zip(zip(positions, candidates), scores))
-    members = enumerate_ball(question, lexicon, spec)
+    items = _candidate_pairs([question], lexicon, spec.d)
     # every pair of the coordinatewise table is attained by some ball member
-    pairs = list(zip(*_candidate_pairs(question.tokens, lexicon, spec.d)))
+    pairs = list(zip(*items[1:]))
+    if spec.mode == "coordinatewise":
+        return dict(zip(pairs, scorer.score_tokens([question], *items).tolist()))
+    members = enumerate_ball(question, lexicon, spec)
     slot = {pair: i for i, pair in enumerate(pairs)}
     best = np.full(len(pairs), -np.inf)
     while chunk := list(itertools.islice(members, _SCORE_CHUNK)):

@@ -11,6 +11,7 @@ reproducible. All oracle noise comes from one batched rule, ``_oracle_scores``.
 flat array, one call each. Each scorer states its rule once, in one of the
 two methods, and the base class derives the other. The remote scorer's
 ``score_many`` is the package's one use of threads: its cache misses.
+Context-free scorers also score lone (position, token) pairs: ``score_tokens``.
 """
 
 from __future__ import annotations
@@ -132,11 +133,11 @@ class _ScorerBase:
             flat.extend(values)
         return np.array(flat, dtype=np.float64)
 
-    def score_tokens(self, question: TokenizedQuestion, positions: Sequence[int],
-                     tokens: Sequence[str]) -> list[float]:
-        """Score (position, token) pairs, each independent of the other tokens,
-        as one call per pair. Only defined for context-free scorers, where the
-        score of a token does not depend on the rest of the question."""
+    def score_tokens(self, questions: Sequence[TokenizedQuestion], owners: Sequence[int],
+                     positions: Sequence[int], tokens: Sequence[str]) -> np.ndarray:
+        """Score (position, token) pairs as one float64 array, one call per
+        pair; pair i sits in ``questions[owners[i]]``. Only defined for
+        context-free scorers, whose score of a token ignores the other tokens."""
         raise ScorerError(
             f"coordinatewise mode requires a context-free scorer; {self.identity!r} is not")
 
@@ -205,12 +206,13 @@ class OracleNoiseScorer(_ScorerBase):
             [j for q in questions for j in range(len(q.tokens))],
             [tok for q in questions for tok in q.tokens]), dtype=np.float64)
 
-    def score_tokens(self, question: TokenizedQuestion, positions: Sequence[int],
-                     tokens: Sequence[str]) -> list[float]:
+    def score_tokens(self, questions: Sequence[TokenizedQuestion], owners: Sequence[int],
+                     positions: Sequence[int], tokens: Sequence[str]) -> np.ndarray:
+        truths = [self._truth(q.id) for q in questions]
         self.calls += len(positions)
-        truth = self._truth(question.id)
-        return _oracle_scores(map(truth.__contains__, positions), self.sigma, self.seed,
-                              positions, tokens)
+        return np.array(_oracle_scores(
+            [j in truths[i] for i, j in zip(owners, positions)], self.sigma, self.seed,
+            positions, tokens), dtype=np.float64)
 
 
 class ConstantScorer(_ScorerBase):
@@ -229,10 +231,10 @@ class ConstantScorer(_ScorerBase):
         self.calls += 1
         return ImportanceScores((self.value,) * len(question.tokens))
 
-    def score_tokens(self, question: TokenizedQuestion, positions: Sequence[int],
-                     tokens: Sequence[str]) -> list[float]:
+    def score_tokens(self, questions: Sequence[TokenizedQuestion], owners: Sequence[int],
+                     positions: Sequence[int], tokens: Sequence[str]) -> np.ndarray:
         self.calls += len(positions)
-        return [self.value] * len(positions)
+        return np.full(len(positions), self.value)
 
 
 class UniformRandomScorer(_ScorerBase):
@@ -378,6 +380,10 @@ class RemoteScorer(_ScorerBase):
             raise ScorerError(f"remote scorer endpoint {endpoint!r} is not an http(s) URL")
         if retries < 0:
             raise ScorerError(f"retries must be >= 0, got {retries}")
+        if not 0.0 < timeout < float("inf"):  # NaN fails both
+            raise ScorerError(f"timeout must be finite and > 0, got {timeout}")
+        if not 0.0 <= backoff < float("inf"):
+            raise ScorerError(f"backoff must be finite and >= 0, got {backoff}")
         self.endpoint = endpoint
         self.timeout = float(timeout)
         self.retries = int(retries)

@@ -13,11 +13,11 @@ reads the test split's materialized scores, which are exactly what the
 oracle would give on re-scoring, and thresholds them once per alpha with the
 set rule of ``sets`` (``_set_stats``, the flat form of ``build_set`` and
 ``evaluate``); no test question is re-scored and no set object is built. A
-robust trial lists each noisy question's coordinatewise table with
-``robust._candidate_pairs``, the oracle being context-free; a clean-token
-item takes its materialized score, and all other items are drawn in one call
-of the oracle-noise rule ``scorer._oracle_scores``. ``robust._fold`` takes
-the largest score at each position over all items, the clean-token items,
+robust trial builds its noisy questions' coordinatewise table as the library
+does, the oracle being context-free: one ``robust._candidate_pairs`` call
+lists every question's items, and one ``score_tokens`` call of the oracle
+that materialized the scores (``oracle_scorer``) scores them. ``robust._fold``
+takes the largest score at each position over all items, the clean-token items,
 the noisy-token items (the comparator, the plain set on the noisy question)
 and the items that are both, and per alpha ``_set_stats`` reads the folds
 for set sizes and losses; ``robust._superset_holds`` checks that the robust
@@ -163,7 +163,8 @@ def generate_synthetic_dataset(config: SyntheticConfig, seed: int | None = None)
 
 def oracle_scorer(config: SyntheticConfig, dataset: ScoredArrays,
                   seed: int | None = None) -> OracleNoiseScorer:
-    """The oracle that materialized the dataset's scores, rebuilt for predict."""
+    """The oracle that materialized the dataset's scores, rebuilt for predict
+    and for a robust trial's table."""
     base = config.seed if seed is None else seed
     return OracleNoiseScorer(config.sigma, _scorer_seed(base), truth_map(dataset))
 
@@ -201,36 +202,22 @@ def _robust_items(
 
     Returns parallel arrays with one entry per (position, candidate) item of
     every noisy question's coordinatewise table: the flat index of its
-    position in ``test``, the robust score (the oracle's score of the
-    candidate there), whether the candidate is the clean token there, and
+    position in ``test``, the robust score (the oracle's ``score_tokens`` of
+    the candidate there), whether the candidate is the clean token there, and
     whether it is the noisy token. Only test questions are perturbed, so the
     lexicon needs only their tokens.
     """
     lexicon = synthetic_lexicon(test, config.synonym_fanout)
     noise_rng = np.random.default_rng(np.random.SeedSequence(entropy=[trial_seed, 3]))
-    counts: list[int] = []
-    position: list[int] = []
-    candidate: list[str] = []
-    clean: list[bool] = []
-    noisy_token: list[bool] = []
-    for q in test.questions():
-        noisy = inject_noise(q, lexicon, config.d, int(noise_rng.integers(2**63)))
-        js, cands = _candidate_pairs(noisy.tokens, lexicon, config.d)
-        counts.append(len(js))
-        position += js
-        candidate += cands
-        clean += [c == q.tokens[j] for j, c in zip(js, cands)]
-        noisy_token += [c == noisy.tokens[j] for j, c in zip(js, cands)]
-    pos = np.array(position, dtype=np.int64)
-    is_clean = np.array(clean, dtype=bool)
-    flat = np.repeat(test.offsets[:-1], counts) + pos
-    score = test.scores[flat]
-    drawn = np.flatnonzero(~is_clean)
-    score[drawn] = _oracle_scores(
-        test.truth[flat[drawn]].tolist(), config.sigma, _scorer_seed(trial_seed),
-        pos[drawn].tolist(), [candidate[i] for i in drawn.tolist()],
-    )
-    return flat, score, is_clean, np.array(noisy_token, dtype=bool)
+    clean = list(test.questions())
+    noisy = [inject_noise(q, lexicon, config.d, int(noise_rng.integers(2**63))) for q in clean]
+    items = _candidate_pairs(noisy, lexicon, config.d)
+    score = oracle_scorer(config, test, trial_seed).score_tokens(noisy, *items)
+    owners, positions, _ = items
+    flat = test.offsets[owners] + positions
+    is_clean = [c == clean[i].tokens[j] for i, j, c in zip(*items)]
+    is_noisy = [c == noisy[i].tokens[j] for i, j, c in zip(*items)]
+    return flat, score, np.array(is_clean, dtype=bool), np.array(is_noisy, dtype=bool)
 
 
 def _run_trial(

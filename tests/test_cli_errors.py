@@ -96,6 +96,18 @@ ROWS = [
                  "'scorer_id' must be a string or null, got 5", id="predict-scorer-id-integer"),
     pytest.param(PREDICT_CONSTANT, calibration_files(adjusted_bound=None), EXIT_INPUT,
                  "'adjusted_bound' must be a number, got None", id="predict-bound-null"),
+    pytest.param([*PREDICT, "--scorer", "remote:endpoint=http://127.0.0.1:9/,timeout=0"],
+                 PREDICT_FILES, EXIT_INPUT, "timeout must be finite and > 0, got 0",
+                 id="scorer-timeout-zero"),
+    pytest.param([*PREDICT, "--scorer", "remote:endpoint=http://127.0.0.1:9/,timeout=-1"],
+                 PREDICT_FILES, EXIT_INPUT, "timeout must be finite and > 0, got -1",
+                 id="scorer-timeout-negative"),
+    pytest.param([*PREDICT, "--scorer", "remote:endpoint=http://127.0.0.1:9/,timeout=nan"],
+                 PREDICT_FILES, EXIT_INPUT, "timeout must be finite and > 0, got nan",
+                 id="scorer-timeout-nan"),
+    pytest.param([*PREDICT, "--scorer", "remote:endpoint=http://127.0.0.1:9/,backoff=-1"],
+                 PREDICT_FILES, EXIT_INPUT, "backoff must be finite and >= 0, got -1",
+                 id="scorer-backoff-negative"),
     pytest.param([*PREDICT, "--scorer", "remote:max_inflight=4,endpoint=http://127.0.0.1:9"],
                  PREDICT_FILES, EXIT_INPUT, "unknown parameter(s) ['max_inflight']",
                  id="scorer-max-inflight-unknown"),

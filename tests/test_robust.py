@@ -21,6 +21,7 @@ from tokencover.robust import (
     BallSpec,
     RobustUncertaintySet,
     SynonymLexicon,
+    _candidate_pairs,
     _fold,
     _superset_holds,
     auto_ball_mode,
@@ -310,6 +311,31 @@ class TestRobustScores:
         oracle = OracleNoiseScorer(sigma=0.5, seed=1, truth_by_id={"q0": {0}})
         assert auto_ball_mode(oracle) == "coordinatewise"
         assert auto_ball_mode(TableScorer({("a",): (0.5,)})) == "exact"
+
+
+class TestCandidatePairs:
+    LEX = group_lexicon(["a", "b", "c"], ["x", "y"])
+    QUESTIONS = [q(["a", "z", "x"], "q0"), q(["z"], "q1"), q(["y", "c"], "q2")]
+
+    @pytest.mark.parametrize("d, want", [
+        (0, ([0, 0, 0, 1, 2, 2], [0, 1, 2, 0, 0, 1], ["a", "z", "x", "z", "y", "c"])),
+        (1, ([0, 0, 0, 0, 0, 0, 1, 2, 2, 2, 2, 2], [0, 0, 0, 1, 2, 2, 0, 0, 0, 1, 1, 1],
+             ["a", "b", "c", "z", "x", "y", "z", "x", "y", "a", "b", "c"])),
+    ])
+    def test_lists_every_synonym_per_position_with_its_owner(self, d, want):
+        assert _candidate_pairs(self.QUESTIONS, self.LEX, d) == want
+
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_many_questions_are_the_one_question_lists_concatenated(self, d):
+        want = ([], [], [])
+        for i, question in enumerate(self.QUESTIONS):
+            owners, positions, candidates = _candidate_pairs([question], self.LEX, d)
+            assert owners == [0] * len(positions) == [0] * len(candidates)
+            want[0].extend([i] * len(positions))
+            want[1].extend(positions)
+            want[2].extend(candidates)
+        assert _candidate_pairs(self.QUESTIONS, self.LEX, d) == want
+        assert _candidate_pairs([], self.LEX, d) == ([], [], [])
 
 
 def per_member_robust_scores(question, lexicon, spec, scorer):

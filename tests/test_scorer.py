@@ -99,7 +99,7 @@ class TestOracleNoise:
         question = q(["a", "b", "c"])
         full = scorer.score_question(question).values
         for j, tok in enumerate(question.tokens):
-            assert scorer.score_tokens(question, [j], [tok]) == [full[j]]
+            assert scorer.score_tokens([question], [0], [j], [tok]).tolist() == [full[j]]
 
     @pytest.mark.parametrize("make", [
         lambda: OracleNoiseScorer(sigma=0.4, seed=3, truth_by_id={"q0": {0, 2}}),
@@ -109,10 +109,32 @@ class TestOracleNoise:
         question = q(["a", "b", "c"])
         positions, tokens = [0, 0, 1, 2, 2], ["a", "a~1", "b", "c", "zz"]
         batch, single = make(), make()
-        got = batch.score_tokens(question, positions, tokens)
-        assert got == [single.score_tokens(question, [j], [t])[0]
-                       for j, t in zip(positions, tokens)]
+        got = batch.score_tokens([question], [0] * len(positions), positions, tokens)
+        assert got.tolist() == [single.score_tokens([question], [0], [j], [t])[0]
+                                for j, t in zip(positions, tokens)]
         assert batch.calls == single.calls == len(positions)
+
+    @pytest.mark.parametrize("make", [
+        lambda: OracleNoiseScorer(sigma=0.4, seed=3, truth_by_id=BATCH_TRUTH),
+        lambda: OracleNoiseScorer(sigma=0.0, seed=3, truth_by_id=BATCH_TRUTH),
+        lambda: ConstantScorer(0.25),
+    ], ids=["oracle_noise", "oracle_noise-sigma0", "constant"])
+    def test_score_tokens_of_many_questions_is_the_per_question_calls(self, make):
+        # every position with its own token and a stranger, across questions
+        # whose truth sets differ at the same positions
+        pairs = [[(j, t) for j, tok in enumerate(question.tokens) for t in (tok, "zz")]
+                 for question in BATCH]
+        owners = [i for i, ps in enumerate(pairs) for _ in ps]
+        positions = [j for ps in pairs for j, _ in ps]
+        tokens = [t for ps in pairs for _, t in ps]
+        many, one = make(), make()
+        got = many.score_tokens(BATCH, owners, positions, tokens)
+        want = np.concatenate([
+            one.score_tokens([question], [0] * len(ps), [j for j, _ in ps], [t for _, t in ps])
+            for question, ps in zip(BATCH, pairs)])
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        assert many.calls == one.calls == len(positions)
 
     def test_unknown_question_id_raises(self):
         scorer = OracleNoiseScorer(sigma=0.1, seed=0, truth_by_id={"q0": {0}})
@@ -198,7 +220,7 @@ class TestUniformRandom:
 
     def test_score_tokens_refused(self):
         with pytest.raises(ScorerError, match="context-free"):
-            UniformRandomScorer(seed=1).score_tokens(q(["a"]), [0], ["a"])
+            UniformRandomScorer(seed=1).score_tokens([q(["a"])], [0], [0], ["a"])
 
     def test_matches_the_per_position_formula(self):
         # the score at j is the unit uniform of sha256("seed|cache_key|j")
@@ -289,7 +311,7 @@ class TestConstantAndTable:
     def test_constant_scores(self):
         scorer = ConstantScorer(0.5)
         assert scorer.score_question(q(["a", "b"])).values == (0.5, 0.5)
-        assert scorer.score_tokens(q(["a", "b"]), [1], ["zzz"]) == [0.5]
+        assert scorer.score_tokens([q(["a", "b"])], [0], [1], ["zzz"]).tolist() == [0.5]
 
     def test_constant_out_of_range_rejected(self):
         with pytest.raises(ScorerError):

@@ -61,8 +61,9 @@ DEFECTS = [
            "covered = np.add.reduceat(kept, starts, dtype=np.int64)"),
     Defect("H", "`sim` never injects noise into robust trials",
            "src/tokencover/sim.py",
-           "noisy = inject_noise(q, lexicon, config.d, int(noise_rng.integers(2**63)))",
-           "noisy = q"),
+           "noisy = [inject_noise(q, lexicon, config.d, int(noise_rng.integers(2**63)))"
+           " for q in clean]",
+           "noisy = clean"),
     Defect("S", "the flat superset check always passes",
            "src/tokencover/robust.py",
            "return np.logical_and.reduceat(holds, offsets[:-1])",
@@ -83,10 +84,10 @@ DEFECTS = [
            "src/tokencover/scorer.py",
            'np.frombuffer(digests, dtype=">u8")',
            'np.frombuffer(digests, dtype="<u8")'),
-    Defect("P", "a robust trial gives every candidate at a position the clean token's score",
-           "src/tokencover/sim.py",
-           "drawn = np.flatnonzero(~is_clean)",
-           "drawn = np.flatnonzero(np.zeros_like(is_clean))"),
+    Defect("AI", "the oracle's `score_tokens` reads the first question's truth for every pair",
+           "src/tokencover/scorer.py",
+           "[j in truths[i] for i, j in zip(owners, positions)]",
+           "[j in truths[0] for i, j in zip(owners, positions)]"),
     Defect("D", "the one-pass loader skips the duplicate-id check",
            "src/tokencover/core.py",
            "if rid in first_line:",
