@@ -8,13 +8,11 @@ synonym substitutions.
 
 from .calibrate import (
     CalibrationResult,
-    RiskCurve,
+    RiskStep,
     adjusted_bound,
     calibrate_exact,
     calibrate_grid,
-    empirical_risk,
     loss,
-    risk_curve,
 )
 from .core import (
     CalibrationExample,
@@ -74,7 +72,7 @@ __all__ = [
     "EvaluationReport",
     "GroundTruthExplanation",
     "ImportanceScores",
-    "RiskCurve",
+    "RiskStep",
     "RobustUncertaintySet",
     "ScoreCache",
     "ScoredArrays",
@@ -90,7 +88,6 @@ __all__ = [
     "build_set",
     "calibrate_exact",
     "calibrate_grid",
-    "empirical_risk",
     "evaluate",
     "evaluate_robust",
     "generate_synthetic_dataset",
@@ -100,7 +97,6 @@ __all__ = [
     "loss",
     "make_scorer",
     "predict",
-    "risk_curve",
     "run_coverage_experiment",
     "split_dataset",
     "summarize",

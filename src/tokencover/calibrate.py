@@ -21,9 +21,9 @@ in rationals, so ties do not depend on the order of float summation.
 The step and the critical thresholds read a dataset's ``ScoredArrays``
 (flat scores, offsets and truth mask). Every function here also takes a
 sequence of ``CalibrationExample``, flattened into arrays once per call.
-``calibrate_exact``, ``calibrate_grid`` and ``risk_curve`` also take a
-``RiskStep`` already built, so one step can serve a calibration and its
-curve.
+``RiskStep.risks`` gives the risk at one threshold or at many;
+``calibrate_exact`` and ``calibrate_grid`` also take a ``RiskStep`` already
+built, so one step can serve a calibration and its curve.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
@@ -55,36 +55,6 @@ Scored = ScoredArrays | Sequence[CalibrationExample]
 # weights, their prefix sums and the division by n); the window widens to
 # that should it ever be larger.
 TIE_WINDOW = 1e-9
-
-
-@dataclass(frozen=True)
-class RiskCurve:
-    """Empirical risk sampled on an ascending threshold grid."""
-
-    thresholds: tuple[float, ...]
-    risks: tuple[float, ...]
-    n: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "thresholds", tuple(float(t) for t in self.thresholds))
-        object.__setattr__(self, "risks", tuple(float(r) for r in self.risks))
-        if len(self.thresholds) != len(self.risks):
-            raise ValueError("thresholds and risks must have equal length")
-        if not self.thresholds:
-            raise ValueError("risk curve must be non-empty")
-        t = np.asarray(self.thresholds)
-        if t[0] < 0.0 or t[-1] > 1.0 or np.any(np.diff(t) <= 0):
-            raise ValueError("thresholds must be strictly ascending within [0, 1]")
-        r = np.asarray(self.risks)
-        if np.any(np.diff(r) > 0):
-            raise ValueError("risks must be non-increasing in the threshold")
-        if self.thresholds[-1] == 1.0 and self.risks[-1] != 0.0:
-            raise ValueError("risk at threshold 1 must be exactly 0")
-
-    def rows(self) -> Iterator[tuple[float, float, int]]:
-        """(lambda, risk, n) rows for CSV export."""
-        for t, r in zip(self.thresholds, self.risks):
-            yield (t, r, self.n)
 
 
 @dataclass(frozen=True)
@@ -171,8 +141,8 @@ class RiskStep:
     The truth scores of all examples are sorted once with their weights, and
     ``missed[k]`` is the weight of the k smallest, so the risk at lambda is
     ``missed[searchsorted(truth, 1 - lambda, side="left")] / n``. It is exactly
-    0.0 at lambda = 1 and non-increasing in lambda. ``arrays`` is the
-    calibration set it was built from.
+    0.0 at lambda = 1 and non-increasing in lambda. ``risks`` reads it at any
+    thresholds, and ``arrays`` is the calibration set it was built from.
     """
 
     def __init__(self, examples: Scored):
@@ -202,7 +172,7 @@ class RiskStep:
         return cut, self._missed[cut] / self.n
 
     def risks(self, lambdas: Sequence[float] | np.ndarray) -> np.ndarray:
-        """Empirical risk at each threshold."""
+        """Empirical risk (mean coverage loss) at each threshold."""
         return self._at(lambdas)[1]
 
     def _exact_missed(self, k: int) -> Fraction:
@@ -234,11 +204,6 @@ def _as_arrays(examples: Scored) -> ScoredArrays:
 
 def _as_step(examples: Scored | RiskStep) -> RiskStep:
     return examples if isinstance(examples, RiskStep) else RiskStep(examples)
-
-
-def empirical_risk(examples: Scored, lam: float) -> float:
-    """Mean coverage loss over the calibration examples at threshold ``lam``."""
-    return float(RiskStep(examples).risks([lam])[0])
 
 
 def critical_thresholds(examples: Scored) -> np.ndarray:
@@ -347,12 +312,3 @@ def calibrate_mode(
         raise ValueError(f"mode must be 'exact' or 'grid', got {mode!r}")
     return calibrate_grid(examples, alpha, uniform_grid(grid_size), scorer_id)
 
-
-def risk_curve(
-    examples: Scored | RiskStep,
-    grid: Sequence[float] | np.ndarray | None = None,
-) -> RiskCurve:
-    """Evaluate the empirical risk on a grid (default: 1001 uniform points)."""
-    g = np.asarray(uniform_grid() if grid is None else grid, dtype=np.float64)
-    step = _as_step(examples)
-    return RiskCurve(thresholds=tuple(g.tolist()), risks=tuple(step.risks(g).tolist()), n=step.n)

@@ -17,8 +17,9 @@ import sys
 from pathlib import Path
 from typing import Any, Iterator, Sequence
 
-from .calibrate import (DEFAULT_GRID_SIZE, CalibrationResult, RiskStep, calibrate_mode,
-                        risk_curve, uniform_grid)
+import numpy as np
+
+from .calibrate import DEFAULT_GRID_SIZE, CalibrationResult, RiskStep, calibrate_mode, uniform_grid
 from .core import _write_atomic, load_dataset
 from .robust import (DEFAULT_ENUMERATION_BUDGET, BallSpec, auto_ball_mode, build_robust_set,
                      load_lexicon)
@@ -93,16 +94,17 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# Grid points per ``risk_curve`` call, so the curve's rows are built a slice at a time
+# Grid points per ``RiskStep.risks`` call, so the curve's rows are built a slice at a time
 _CURVE_CHUNK = 65_536
 
 
-def _curve_csv(step: RiskStep, grid: Sequence[float]) -> Iterator[str]:
+def _curve_csv(step: RiskStep, grid: np.ndarray) -> Iterator[str]:
     """The risk curve on ``grid`` as CSV text, yielded one slice of rows at a time."""
     yield "lambda,risk,n\n"
     for start in range(0, len(grid), _CURVE_CHUNK):
-        curve = risk_curve(step, grid[start:start + _CURVE_CHUNK])
-        yield "".join(f"{t!r},{r!r},{n}\n" for t, r, n in curve.rows())
+        part = grid[start:start + _CURVE_CHUNK]
+        yield "".join(f"{t!r},{r!r},{step.n}\n"
+                      for t, r in zip(part.tolist(), step.risks(part).tolist()))
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
@@ -168,6 +170,9 @@ def _simulate_runs(args: argparse.Namespace) -> tuple[SyntheticConfig, list[dict
             doc = json.load(fh)
         if not isinstance(doc, dict) or "runs" not in doc:
             raise ValueError(f"{args.config}: expected an object with 'config' and 'runs'")
+        unknown = sorted(set(doc) - {"config", "runs"})
+        if unknown:
+            raise ValueError(f"{args.config}: unknown top-level key(s) {unknown}")
         settings = doc.get("config", {})
         if not isinstance(settings, dict):
             raise ValueError(f"{args.config}: 'config' must be an object")

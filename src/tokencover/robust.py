@@ -130,8 +130,9 @@ def load_lexicon(path: str | Path) -> SynonymLexicon:
             tok, syns = rec["token"], rec["synonyms"]
             if not isinstance(tok, str) or not tok:
                 raise ValueError(f"{path}: line {lineno}: 'token' must be a non-empty string")
-            if not isinstance(syns, list) or not all(isinstance(s, str) for s in syns):
-                raise ValueError(f"{path}: line {lineno}: 'synonyms' must be a list of strings")
+            if not isinstance(syns, list) or not all(isinstance(s, str) and s for s in syns):
+                raise ValueError(f"{path}: line {lineno}: "
+                                 "'synonyms' must be a list of strings, none of them empty")
             if tok in first_line:
                 raise ValueError(f"{path}: line {lineno}: duplicate token {tok!r}, "
                                  f"first given on line {first_line[tok]}")

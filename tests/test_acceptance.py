@@ -19,11 +19,11 @@ import numpy as np
 import pytest
 
 from tokencover.calibrate import (
+    RiskStep,
     adjusted_bound,
     calibrate_exact,
     calibrate_grid,
     critical_thresholds,
-    empirical_risk,
     loss,
 )
 from tokencover.core import (
@@ -275,7 +275,7 @@ class TestCriterion5DegeneratePaths:
 
         clean_ds = generate_synthetic_dataset(noiseless)
         for lam in np.linspace(0.001, 1.0, 57):
-            if empirical_risk(clean_ds.examples, float(lam)) != 0.0:
+            if RiskStep(clean_ds.examples).risks([float(lam)])[0] != 0.0:
                 problems.append(f"noiseless risk not zero at lambda={lam}")
                 break
 

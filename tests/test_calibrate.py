@@ -15,21 +15,22 @@ import pytest
 
 from tokencover.calibrate import (
     CalibrationResult,
-    RiskCurve,
     RiskStep,
     adjusted_bound,
     calibrate_exact,
     calibrate_grid,
     critical_thresholds,
-    empirical_risk,
     loss,
-    risk_curve,
     uniform_grid,
 )
 from tokencover.core import GroundTruthExplanation
 from tokencover.sets import UncertaintySet, build_set
 
 from conftest import make_example, random_dataset, random_example
+
+
+def risk_at(examples, lam):
+    return float(RiskStep(examples).risks([lam])[0])
 
 
 def brute_indices(scores, lam):
@@ -125,36 +126,36 @@ class TestEmpiricalRisk:
                     for ex in ds.examples
                 ]
             )
-            assert empirical_risk(ds.examples, lam) == pytest.approx(expected, abs=1e-12)
+            assert risk_at(ds.examples, lam) == pytest.approx(expected, abs=1e-12)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(22)
         for _ in range(20):
             ds = random_dataset(rng, int(rng.integers(1, 8)))
             for lam in (0.0, float(rng.uniform(0, 1)), 1.0):
-                assert empirical_risk(ds.examples, lam) == pytest.approx(
+                assert risk_at(ds.examples, lam) == pytest.approx(
                     brute_risk(ds.examples, lam), abs=1e-12
                 )
 
     def test_cutoff_boundary_is_inclusive(self):
         ex = make_example(["a", "b"], [0.4, 0.0], {0})
-        assert empirical_risk([ex], 1.0 - 0.4) == 0.0
-        assert empirical_risk([ex], 1.0 - 0.4 - 1e-9) == 1.0
+        assert risk_at([ex], 1.0 - 0.4) == 0.0
+        assert risk_at([ex], 1.0 - 0.4 - 1e-9) == 1.0
 
     def test_zero_at_lambda_one(self):
         rng = np.random.default_rng(23)
         ds = random_dataset(rng, 6)
-        assert empirical_risk(ds.examples, 1.0) == 0.0
+        assert risk_at(ds.examples, 1.0) == 0.0
 
     def test_non_increasing_in_lambda(self):
         rng = np.random.default_rng(24)
         ds = random_dataset(rng, 10)
-        risks = [empirical_risk(ds.examples, lam) for lam in np.linspace(0, 1, 101)]
+        risks = [risk_at(ds.examples, lam) for lam in np.linspace(0, 1, 101)]
         assert all(a >= b for a, b in zip(risks, risks[1:]))
 
     def test_empty_examples_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            empirical_risk([], 0.5)
+            risk_at([], 0.5)
 
 
 class TestCriticalThresholds:
@@ -178,7 +179,7 @@ class TestCriticalThresholds:
         grid = critical_thresholds(ds.examples)
         for left, right in zip(grid[:-1], grid[1:]):
             mid = (left + right) / 2.0
-            assert empirical_risk(ds.examples, mid) == empirical_risk(ds.examples, float(left))
+            assert risk_at(ds.examples, mid) == risk_at(ds.examples, float(left))
 
     def test_empty_examples_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -317,29 +318,11 @@ class TestRiskCurve:
     def test_matches_empirical_risk_pointwise(self):
         rng = np.random.default_rng(61)
         ds = random_dataset(rng, 8)
-        curve = risk_curve(ds.examples, grid=uniform_grid(21))
-        for t, r, n in curve.rows():
-            assert n == 8
+        step, grid = RiskStep(ds.examples), uniform_grid(21)
+        for t, r in zip(grid.tolist(), step.risks(grid).tolist()):
+            assert step.n == 8
             # mean over a matrix axis may differ from the column mean by one ulp
-            assert r == pytest.approx(empirical_risk(ds.examples, t), abs=1e-12)
-
-    def test_rejects_increasing_risks(self):
-        with pytest.raises(ValueError, match="non-increasing"):
-            RiskCurve(thresholds=(0.0, 1.0), risks=(0.1, 0.2), n=1)
-
-    def test_rejects_nonzero_risk_at_one(self):
-        with pytest.raises(ValueError, match="exactly 0"):
-            RiskCurve(thresholds=(0.0, 1.0), risks=(0.5, 0.5), n=1)
-
-    def test_rejects_unsorted_thresholds(self):
-        with pytest.raises(ValueError, match="ascending"):
-            RiskCurve(thresholds=(0.5, 0.2), risks=(0.5, 0.1), n=1)
-
-    def test_rejects_empty_and_ragged(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            RiskCurve(thresholds=(), risks=(), n=1)
-        with pytest.raises(ValueError, match="equal length"):
-            RiskCurve(thresholds=(0.0, 1.0), risks=(0.0,), n=1)
+            assert r == pytest.approx(risk_at(ds.examples, t), abs=1e-12)
 
 
 class TestOneStepServesAll:
@@ -355,7 +338,7 @@ class TestOneStepServesAll:
                 assert calibrate_exact(step, alpha) == calibrate_exact(arrays, alpha)
                 assert calibrate_grid(step, alpha, grid=grid) == \
                     calibrate_grid(arrays, alpha, grid=grid)
-            assert risk_curve(step, grid) == risk_curve(arrays, grid)
+            assert step.risks(grid).tolist() == RiskStep(arrays).risks(grid).tolist()
 
     def test_calibrate_command_builds_one_step(self, tmp_path, monkeypatch):
         from tokencover import calibrate as calibrate_module, cli
@@ -483,7 +466,7 @@ class TestOneDecisionAtTies:
         ]
         bound = adjusted_bound(0.2, n)
         assert Fraction(3996, 5 * n) <= Fraction(bound)
-        assert abs(empirical_risk(examples, 1.0 - 0.9) - bound) < 1e-12
+        assert abs(risk_at(examples, 1.0 - 0.9) - bound) < 1e-12
         for res in (calibrate_exact(examples, 0.2),
                     calibrate_grid(examples, 0.2, grid=critical_thresholds(examples))):
             assert res.feasible and res.lambda_hat == 1.0 - 0.9
@@ -502,4 +485,4 @@ class TestLinearMemory:
 
     def test_risk_curve_ends_at_exact_zero(self):
         examples = like_calibrate_large(np.random.default_rng(4001), 4000)
-        assert risk_curve(examples).risks[-1] == 0.0
+        assert RiskStep(examples).risks(uniform_grid())[-1] == 0.0

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from tokencover import cli
-from tokencover.calibrate import calibrate_exact, risk_curve, uniform_grid
+from tokencover.calibrate import RiskStep, calibrate_exact, uniform_grid
 from tokencover.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main, parse_scorer_spec
 from tokencover.core import (
     CalibrationExample,
@@ -128,8 +128,9 @@ class TestCalibrateCommand:
 
     def test_curve_streamed_in_slices_is_the_whole_curve(self, workdir, monkeypatch):
         tmp_path, data_path, _ = workdir
-        whole = risk_curve(load_dataset(data_path), uniform_grid(101))
-        expected = "lambda,risk,n\n" + "".join(f"{t!r},{r!r},{n}\n" for t, r, n in whole.rows())
+        step, grid = RiskStep(load_dataset(data_path)), uniform_grid(101)
+        rows = zip(grid.tolist(), step.risks(grid).tolist())
+        expected = "lambda,risk,n\n" + "".join(f"{t!r},{r!r},{step.n}\n" for t, r in rows)
         monkeypatch.setattr(cli, "_CURVE_CHUNK", 7)  # 101 points: 14 full slices and one of 3
         curve = tmp_path / "curve.csv"
         code, _ = run_calibrate(

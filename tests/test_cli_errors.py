@@ -121,6 +121,28 @@ ROWS = [
                  PREDICT_FILES, EXIT_INPUT,
                  "grid size must be >= 2 and at most 10000000, got 10000001",
                  id="calibrate-curve-grid-size-huge"),
+    pytest.param(ROBUST_PREDICT, {**calibration_files(),
+                                  "lex.jsonl": '{"token": "x", "synonyms": ["x", ""]}\n'},
+                 EXIT_INPUT, "line 1: 'synonyms' must be a list of strings, none of them empty",
+                 id="lexicon-empty-synonym"),
+    pytest.param(ROBUST_PREDICT, {**calibration_files(),
+                                  "lex.jsonl": '{"token": "", "synonyms": ["a"]}\n'},
+                 EXIT_INPUT, "line 1: 'token' must be a non-empty string",
+                 id="lexicon-empty-token"),
+    pytest.param(SIMULATE, {"sim.json": json.dumps({"runs": [{"alpha": 0.2, "trials": 2}],
+                                                    "confg": {"n_calibration": 7, "n_test": 7}})},
+                 EXIT_INPUT, "unknown top-level key(s) ['confg']", id="config-misspelled-config"),
+    pytest.param(SIMULATE, {"sim.json": json.dumps({"config": {}})}, EXIT_INPUT,
+                 "expected an object with 'config' and 'runs'", id="config-without-runs"),
+    pytest.param(SIMULATE, sim_config(runs=[]), EXIT_INPUT,
+                 "'runs' must be a non-empty list", id="runs-empty"),
+    pytest.param(SIMULATE, sim_config(runs=[{"trials": 2}]), EXIT_INPUT,
+                 "every run needs an 'alpha'", id="run-without-alpha"),
+    pytest.param(STATS, {"data.jsonl": DATASET, "calib.json": "[1, 2]"}, EXIT_INPUT,
+                 "calibration file must hold a JSON object", id="stats-calibration-a-list"),
+    pytest.param([*PREDICT, "--scorer", "remote:endpoint=http://127.0.0.1:9/,retries=-1"],
+                 PREDICT_FILES, EXIT_INPUT, "retries must be >= 0, got -1",
+                 id="scorer-retries-negative"),
 ]
 
 # Well-typed calibration fields out of range: each exits 2 before any work.
@@ -168,6 +190,13 @@ def test_robust_predict_has_no_workers_option(capsys):
         main([*argv, "--workers", "2"])
     assert exit_info.value.code == EXIT_INPUT
     assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+def test_alpha_that_is_not_a_number_exits_2(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["calibrate", "--dataset", "d.jsonl", "--alpha", "abc", "--out", "o.json"])
+    assert exit_info.value.code == EXIT_INPUT
+    assert "alpha must be a number, got 'abc'" in capsys.readouterr().err
 
 
 def test_out_of_memory_is_an_input_error(tmp_path, capsys, monkeypatch):

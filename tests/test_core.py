@@ -69,6 +69,10 @@ class TestValidateExample:
         problems = validate_example(make_example(["a", ""], [0.5, 0.5], [0]))
         assert any("tokens[1]" in p for p in problems)
 
+    def test_rejects_non_string_answer(self):
+        problems = validate_example(make_example(["a"], [0.5], [0], answer=5))
+        assert problems == ["answer must be a string or null"]
+
 
 class TestLoadWriteRoundTrip:
     def test_round_trip_is_exact(self, tmp_path):

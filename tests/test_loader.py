@@ -12,7 +12,7 @@ import threading
 import numpy as np
 import pytest
 
-from tokencover.calibrate import RiskStep, critical_thresholds, empirical_risk
+from tokencover.calibrate import RiskStep, critical_thresholds
 from tokencover.cli import EXIT_INPUT, EXIT_OK, main
 from tokencover.core import (
     CalibrationExample,
@@ -254,7 +254,7 @@ class TestBulkPath:
         assert ds.examples[0].explanation.indices == frozenset({0})
         assert ds.truth.tolist() == [True, False]
         # truth size 1: missing position 0 costs the whole example
-        assert empirical_risk(ds, 0.5) == 1.0
+        assert RiskStep(ds).risks([0.5])[0] == 1.0
 
     def test_matches_per_record_loader(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -131,6 +131,11 @@ class TestLexicon:
         assert lex.synonyms("b") == frozenset({"a", "b"})
         assert lex.synonyms("a") == frozenset({"a", "b"})
 
+    def test_symmetry_repaired_into_an_existing_entry(self):
+        with pytest.warns(UserWarning, match="added 'a' to 'b' for symmetry"):
+            lex = SynonymLexicon(entries={"a": ["a", "b"], "b": ["b"]})
+        assert lex.synonyms("b") == frozenset({"a", "b"})
+
     def test_frozenset_with_non_str_member_is_converted(self, recwarn):
         lex = SynonymLexicon(entries={"a": frozenset({"a", 1}), "1": frozenset({"1", "a"})})
         assert len(recwarn) == 0

@@ -345,6 +345,12 @@ class TestScoreCacheDisk:
         with pytest.warns(UserWarning, match="corrupt"):
             assert cache.get("bad") is None
 
+    def test_entry_that_is_a_directory_is_a_miss_with_warning(self, tmp_path):
+        cache = ScoreCache(tmp_path)
+        (tmp_path / "k.json").mkdir()
+        with pytest.warns(UserWarning, match="read failed"):
+            assert cache.get("k") is None
+
     def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
         def refuse(src, dst):
             raise OSError("no rename")
@@ -416,6 +422,15 @@ class TestRemoteScorer:
         url, state = http_scorer_server
         state["raw"] = b"<html>not json</html>"
         with pytest.raises(ScorerError, match="not JSON"):
+            RemoteScorer(url, retries=3, backoff=0.01).score_question(q(["a"]))
+        assert state["requests"] == 1
+
+    @pytest.mark.parametrize("scores, message", [("0.5", "non-list scores"),
+                                                 (["0.5"], "non-numeric score at position 0")])
+    def test_malformed_scores_fail_fast(self, http_scorer_server, scores, message):
+        url, state = http_scorer_server
+        state["response"] = {"scores": scores}
+        with pytest.raises(ScorerError, match=message):
             RemoteScorer(url, retries=3, backoff=0.01).score_question(q(["a"]))
         assert state["requests"] == 1
 

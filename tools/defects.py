@@ -167,8 +167,8 @@ DEFECTS = [
            ""),
     Defect("AC", "`calibrate --curve-out` drops the last point of each grid slice",
            "src/tokencover/cli.py",
-           "risk_curve(step, grid[start:start + _CURVE_CHUNK])",
-           "risk_curve(step, grid[start:start + _CURVE_CHUNK - 1])"),
+           "part = grid[start:start + _CURVE_CHUNK]",
+           "part = grid[start:start + _CURVE_CHUNK - 1]"),
     Defect("AF", "the loader checks the type of `answer` before that of `explanation_indices`",
            "src/tokencover/core.py",
            "    if type(idx) is not list or not _INT.issuperset(map(type, idx)):\n",
@@ -184,6 +184,14 @@ DEFECTS = [
            "src/tokencover/robust.py",
            "np.maximum.at(best, flat, score)",
            "best[flat] = score"),
+    Defect("AJ", "`load_lexicon` accepts an empty synonym",
+           "src/tokencover/robust.py",
+           "all(isinstance(s, str) and s for s in syns)",
+           "all(isinstance(s, str) for s in syns)"),
+    Defect("AK", "`simulate --config` ignores an unknown top-level key",
+           "src/tokencover/cli.py",
+           'unknown = sorted(set(doc) - {"config", "runs"})',
+           "unknown = []"),
 ]
 
 
