@@ -281,10 +281,13 @@ def robust_scores(
     if spec.mode == "coordinatewise":
         return dict(zip(pairs, scorer.score_tokens([question], *items).tolist()))
     members = enumerate_ball(question, lexicon, spec)
-    slot = {pair: i for i, pair in enumerate(pairs)}
+    # slot_at[j][candidate] is the pair's index in ``pairs``
+    slot_at: list[dict[str, int]] = [{} for _ in question.tokens]
+    for i, (j, candidate) in enumerate(pairs):
+        slot_at[j][candidate] = i
     best = np.full(len(pairs), -np.inf)
     while chunk := list(itertools.islice(members, _SCORE_CHUNK)):
-        slots = [slot[pair] for member in chunk for pair in enumerate(member.tokens)]
+        slots = [slot[tok] for member in chunk for slot, tok in zip(slot_at, member.tokens)]
         np.maximum.at(best, slots, scorer.score_many(chunk))
     return dict(zip(pairs, best.tolist()))
 

@@ -24,7 +24,9 @@ import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from hashlib import sha256
+from json.encoder import encode_basestring
 from pathlib import Path
 from statistics import NormalDist
 from typing import Any, Iterable, Mapping, Sequence
@@ -52,12 +54,22 @@ def cache_key(prompt: str, tokens: Sequence[str], scorer_identity: str) -> Score
     """Collision-resistant digest of (prompt, tokens, scorer identity).
 
     Any change to the prompt, any token, the token order, or the scorer
-    identity yields a different key.
+    identity yields a different key. The key is the sha256 of the compact
+    UTF-8 JSON ``[prompt,[token,...],scorer_identity]``; the hasher state after
+    the prompt is built once per (prompt, identity) and copied per key.
     """
-    payload = json.dumps(
-        [prompt, list(tokens), scorer_identity], ensure_ascii=False, separators=(",", ":")
-    )
-    return sha256(payload.encode("utf-8")).hexdigest()
+    head, tail = _key_parts(prompt, scorer_identity)
+    h = head.copy()
+    h.update(",".join(map(encode_basestring, tokens)).encode() + tail)
+    return h.hexdigest()
+
+
+@lru_cache(maxsize=64)
+def _key_parts(prompt: str, scorer_identity: str) -> tuple[Any, bytes]:
+    """The sha256 state after ``[prompt,[`` and the bytes ``],identity]``
+    of ``cache_key``'s JSON. Callers copy the state before updating it."""
+    head = sha256(("[" + json.dumps(prompt, ensure_ascii=False) + ",[").encode())
+    return head, ("]," + json.dumps(scorer_identity, ensure_ascii=False) + "]").encode()
 
 
 def _unit_uniforms(digests: bytes) -> np.ndarray:
@@ -79,16 +91,18 @@ def _oracle_scores(in_truth: Iterable[bool], sigma: float, seed: int,
     """The noisy-oracle score of each (position j, token) pair, the package's
     one oracle-noise rule: 1 if j is a truth position, else 0, plus ``sigma``
     times a standard normal drawn from the sha256 of "seed|j|token", clamped
-    into [0, 1]. The pairs are scored in one batch."""
+    into [0, 1]. The pairs are scored in one batch, which encodes each
+    distinct "seed|j|" prefix once."""
     if not sigma > 0:
         return [1.0 if m else 0.0 for m in in_truth]
-    digests = b"".join([sha256(f"{seed}|{j}|{tok}".encode()).digest()
+    positions = list(positions)
+    prefix = {j: f"{seed}|{j}|".encode() for j in set(positions)}
+    digests = b"".join([sha256(prefix[j] + tok.encode()).digest()
                         for j, tok in zip(positions, tokens)])
-    scores = []
-    for m, z in zip(in_truth, _normal_deviates(digests)):
-        v = (1.0 if m else 0.0) + sigma * z
-        scores.append(0.0 if v < 0.0 else 1.0 if v > 1.0 else v)
-    return scores
+    v = np.array(_normal_deviates(digests))
+    v *= sigma
+    v += np.fromiter(in_truth, dtype=bool)
+    return np.minimum(np.maximum(v, 0.0, out=v), 1.0, out=v).tolist()
 
 
 @dataclass(frozen=True)
@@ -249,25 +263,27 @@ class UniformRandomScorer(_ScorerBase):
         super().__init__()
         self.seed = int(seed)
         self.identity = f"uniform_random(seed={self.seed})"
-
-    def _digests(self, key: ScoreCacheKey, k: int) -> bytes:
-        """The sha256 of "seed|key|j" for each position j < k, whose unit
-        uniform is the score at j. The shared prefix "seed|key|" is hashed
-        once and the hasher copied per position."""
-        head = sha256(f"{self.seed}|{key}|".encode())
-        digests = []
-        for j in range(k):
-            h = head.copy()
-            h.update(str(j).encode())
-            digests.append(h.digest())
-        return b"".join(digests)
+        # entry j is str(j) encoded; grown by rebinding, so a reader never
+        # sees a partly built table
+        self._suffixes: list[bytes] = []
 
     def score_many(self, questions: Sequence[TokenizedQuestion]) -> np.ndarray:
+        """The score at position j is the unit uniform of the sha256 of
+        "seed|key|j", key the question's ``cache_key``: one encoded head per
+        question and one hash call per position."""
+        suffixes = self._suffixes
+        k = max((len(question.tokens) for question in questions), default=0)
+        if len(suffixes) < k:
+            suffixes = self._suffixes = suffixes + [
+                str(j).encode() for j in range(len(suffixes), k)]
+        digests = []
+        for question in questions:
+            key = cache_key(question.prompt, question.tokens, self.identity)
+            head = f"{self.seed}|{key}|".encode()
+            digests.append(b"".join([sha256(head + s).digest()
+                                     for s in suffixes[:len(question.tokens)]]))
         self.calls += len(questions)
-        return _unit_uniforms(b"".join([
-            self._digests(cache_key(question.prompt, question.tokens, self.identity),
-                          len(question.tokens))
-            for question in questions]))
+        return _unit_uniforms(b"".join(digests))
 
 
 class TableScorer(_ScorerBase):

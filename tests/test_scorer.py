@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import os
+import random
 import socket
 import sys
 from statistics import NormalDist
@@ -14,7 +16,7 @@ import pytest
 
 from tokencover import scorer as scorer_module
 from tokencover.calibrate import CalibrationResult
-from tokencover.core import ImportanceScores, TokenizedQuestion
+from tokencover.core import DEFAULT_PROMPT, ImportanceScores, TokenizedQuestion
 from tokencover.scorer import (
     ConstantScorer,
     OracleNoiseScorer,
@@ -57,6 +59,54 @@ class TestCacheKey:
 
     def test_token_boundaries_matter(self):
         assert cache_key("p", ["ab", "c"], "s") != cache_key("p", ["a", "bc"], "s")
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_the_json_dumps_formula_on_random_strings(self, seed):
+        rng = random.Random(seed)
+
+        def text():
+            return "".join(rng.choice(KEY_ALPHABET) for _ in range(rng.randrange(0, 12)))
+
+        # a few prompts and identities recur, so cached prefixes meet new tokens
+        prompts, identities = [text() for _ in range(4)], [text() for _ in range(3)]
+        for _ in range(400):
+            prompt = rng.choice(prompts) if rng.random() < 0.7 else text()
+            identity = rng.choice(identities) if rng.random() < 0.7 else text()
+            tokens = tuple(text() for _ in range(rng.randrange(0, 6)))
+            assert cache_key(prompt, tokens, identity) == \
+                reference_cache_key(prompt, tokens, identity), (prompt, tokens, identity)
+
+    @pytest.mark.parametrize("tokens", [(), ("a",), ('"q"', "b\\", "日本", "🙂")],
+                             ids=["no-tokens", "one-token", "escaped-tokens"])
+    @pytest.mark.parametrize("prompt", [DEFAULT_PROMPT, "", None], ids=["default", "empty", "none"])
+    def test_equals_the_json_dumps_formula_on_edge_prompts(self, prompt, tokens):
+        for identity in ("uniform_random(seed=3)", "remote(http://127.0.0.1:1/score)"):
+            assert cache_key(prompt, tokens, identity) == \
+                reference_cache_key(prompt, tokens, identity)
+            assert cache_key(prompt, list(tokens), identity) == \
+                reference_cache_key(prompt, tokens, identity)
+
+    def test_lone_surrogate_refused_like_the_json_dumps_formula(self):
+        for args in (("\ud800", ["a"], "s"), ("p", ["a", "\udfff"], "s"), ("p", [], "\ud800")):
+            with pytest.raises(UnicodeEncodeError):
+                reference_cache_key(*args)
+            with pytest.raises(UnicodeEncodeError):
+                cache_key(*args)
+
+
+# JSON escapes (quote, backslash, control characters), characters JSON leaves
+# as they are (slash, DEL, U+2028), and non-ASCII and astral characters
+KEY_ALPHABET = ['"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "a", "Z", " ", "é",
+                "ß", "日", "\u2028", "🙂", "𝄞", "\U0010ffff"]
+
+
+def reference_cache_key(prompt, tokens, identity):
+    """``cache_key`` as one ``json.dumps`` of the whole list, hashed at once:
+    the formula that names every cache entry, which the prefix cache must
+    reproduce."""
+    payload = json.dumps([prompt, list(tokens), identity], ensure_ascii=False,
+                         separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 class TestOracleNoise:
@@ -182,6 +232,19 @@ class TestOracleKernel:
     def test_empty_batch(self):
         assert _oracle_scores([], 0.3, 1, [], []) == []
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    def test_one_shot_iterators_with_repeated_and_unordered_positions(self, sigma):
+        positions = [7, 0, 7, 3, 0, 12, 3, 3, 1, 0, 7, 2, 12]
+        tokens = ["a", "a", "b", "a", "é", "", "a", "🙂", "x|y", "a", "a", "b", "c"]
+        in_truth = [j % 2 == 1 for j in range(len(positions))]
+        seed = 2**62 + 5
+        got = _oracle_scores(iter(in_truth), sigma, seed,
+                             (j for j in positions), (tok for tok in tokens))
+        want = [reference_oracle_token(m, sigma, seed, j, tok)
+                for m, j, tok in zip(in_truth, positions, tokens)]
+        assert isinstance(got, list)
+        assert np.array(got).view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+
     def test_unpacking_matches_integer_formula_at_rounding_edges(self):
         prefixes = [0, 1, 2**53 + 1, 2**63, 2**63 + 1024, 2**63 + 1025, 2**63 + 3072,
                     2**64 - 2049, 2**64 - 2048, 2**64 - 1025, 2**64 - 1024, 2**64 - 1]
@@ -221,6 +284,23 @@ class TestUniformRandom:
     def test_score_tokens_refused(self):
         with pytest.raises(ScorerError, match="context-free"):
             UniformRandomScorer(seed=1).score_tokens([q(["a"])], [0], [0], ["a"])
+
+    @pytest.mark.parametrize("k", [1, 9, 10, 11, 100, 1500])
+    def test_score_many_matches_the_per_position_reference_at_every_length(self, k):
+        # the suffix table grows: first to 2 positions, then to k within a batch
+        scorer = UniformRandomScorer(seed=9)
+        short = q(["s", "t"][:min(k, 2)], prompt=DEFAULT_PROMPT)
+        long = q([f"t{j}" for j in range(k)], qid="long", prompt='naïve "p" 🙂')
+        first = scorer.score_many([short])
+        got = scorer.score_many([short, long, short])
+        identity = "uniform_random(seed=9)"
+        want = [(int.from_bytes(hashlib.sha256(
+                    f"9|{reference_cache_key(x.prompt, x.tokens, identity)}|{j}".encode()
+                 ).digest()[:8], "big") + 0.5) / 2.0**64
+                for x in (short, long, short) for j in range(len(x.tokens))]
+        assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+        assert first.tobytes() == got[:len(short.tokens)].tobytes()
+        assert scorer.calls == 4
 
     def test_matches_the_per_position_formula(self):
         # the score at j is the unit uniform of sha256("seed|cache_key|j")
@@ -484,6 +564,17 @@ class TestRemoteScorer:
         assert state["requests"] == 1
         assert second.cache_hits == 1
         assert second.calls == 0
+
+    def test_disk_entry_under_the_reference_key_is_a_hit(self, http_scorer_server, tmp_path):
+        # entries written before the prefix cache keep their names
+        url, state = http_scorer_server
+        question = q(["é", '"b"', "🙂"], prompt=DEFAULT_PROMPT)
+        scorer = RemoteScorer(url, retries=0, cache_dir=tmp_path)
+        key = reference_cache_key(question.prompt, question.tokens, scorer.identity)
+        (tmp_path / f"{key}.json").write_text(json.dumps({"scores": [0.25, 0.5, 0.75]}))
+        assert scorer.score_many([question]).tolist() == [0.25, 0.5, 0.75]
+        assert state.get("requests", 0) == 0
+        assert (scorer.calls, scorer.cache_hits) == (0, 1)
 
     def test_memoizes_within_instance(self, http_scorer_server):
         url, state = http_scorer_server

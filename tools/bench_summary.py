@@ -7,21 +7,27 @@ The first form reads every ``<workload>-seed<N>-trace0.json`` record that
 ``bench/run.py --trace 0`` leaves in the records directory and writes, per
 workload and end-to-end metric, the median and quartiles over seeds, with
 each seed's ``correct`` and ``failed`` and the machine (nproc, CPU, Python,
-numpy). It refuses records of different sources (``source_sha256``). The
-second form prints each metric's ratio, second file over first, and marks a
-move in the worse direction larger than the metric's bound in BENCHMARK.json.
-Standard library only.
+numpy). It refuses records of different sources (``source_sha256``). It then
+runs the tier-1 suite once on this checkout and records its counts and wall
+time under ``tier1``. The second form prints each metric's ratio, second file
+over first, and marks a move in the worse direction larger than the metric's
+bound in BENCHMARK.json. Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import statistics
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def summarise(records_dir: Path) -> dict:
@@ -49,6 +55,21 @@ def summarise(records_dir: Path) -> dict:
     }
 
 
+def tier1() -> dict:
+    """The tier-1 suite run once from the repository root, with ``src`` on
+    the path: its pass and fail counts, its summary line and its wall time."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run(TIER1, cwd=ROOT, env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    summary = (proc.stdout.strip().splitlines() or [""])[-1]
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed|errors?)", summary)}
+    return {"passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0) + counts.get("error", 0) + counts.get("errors", 0),
+            "wall_s": round(wall, 1), "summary": summary}
+
+
 def spread(values: list[float]) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 \
         else values * 3
@@ -72,6 +93,11 @@ def compare(a_path: Path, b_path: Path) -> None:
                 worse = ratio - 1.0 if m["better"] == "lower" else 1.0 - ratio
                 flag = "  WORSE than bound" if worse > m["bound"] else ""
             print(f"{workload:<16} {name:<22} {x:>14.6g} {y:>14.6g}  {ratio:.3f}{flag}")
+    for path, doc in ((a_path, a), (b_path, b)):
+        if "tier1" in doc:
+            t = doc["tier1"]
+            print(f"{path.name}: tier-1 {t['passed']} passed, {t['failed']} failed, "
+                  f"{t['wall_s']} s wall")
 
 
 def main() -> int:
@@ -86,7 +112,9 @@ def main() -> int:
         return 0
     if args.out is None:
         ap.error("give --out or --compare")
-    args.out.write_text(json.dumps(summarise(args.records), indent=1) + "\n", encoding="utf-8")
+    summary = summarise(args.records)
+    summary["tier1"] = tier1()
+    args.out.write_text(json.dumps(summary, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
 

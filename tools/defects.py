@@ -192,6 +192,18 @@ DEFECTS = [
            "src/tokencover/cli.py",
            'unknown = sorted(set(doc) - {"config", "runs"})',
            "unknown = []"),
+    Defect("AL", "the cache key's prefix cache ignores the prompt",
+           "src/tokencover/scorer.py",
+           'head = sha256(("[" + json.dumps(prompt, ensure_ascii=False) + ",[").encode())',
+           'head = sha256(("[" + json.dumps(None, ensure_ascii=False) + ",[").encode())'),
+    Defect("AM", "the oracle's prefix table is off by one position",
+           "src/tokencover/scorer.py",
+           'prefix = {j: f"{seed}|{j}|".encode() for j in set(positions)}',
+           'prefix = {j: f"{seed}|{j + 1}|".encode() for j in set(positions)}'),
+    Defect("AN", "the exact fold's slot table is keyed by token only, not by position",
+           "src/tokencover/robust.py",
+           "slot_at: list[dict[str, int]] = [{} for _ in question.tokens]",
+           "slot_at: list[dict[str, int]] = [{}] * len(question.tokens)"),
 ]
 
 
