@@ -38,7 +38,7 @@ import numpy as np
 from .calibrate import CalibrationResult
 from .core import GroundTruthExplanation, TokenizedQuestion
 from .scorer import _SCORE_CHUNK, _ScorerBase
-from .sets import UncertaintySet, _check_scorer_identity, _kept
+from .sets import _check_scorer_identity, _kept
 
 BALL_MODES = ("exact", "coordinatewise")
 
@@ -195,14 +195,14 @@ def ball_size(question: TokenizedQuestion, lexicon: SynonymLexicon, spec: BallSp
 
     With m_j alternatives at position j, the count is the sum over all
     position subsets of size at most d of the product of the subset's m_j,
-    i.e. the elementary symmetric sums e_0 + e_1 + ... + e_d of the m_j.
+    i.e. the elementary symmetric sums e_0 + e_1 + ... + e_d of the m_j. The
+    sums stop at the smaller of d and the number of positions with m_j > 0,
+    the cap ``_iter_ball`` uses, so a huge d costs nothing.
     """
-    ms = [len(lexicon.synonyms(tok)) - 1 for tok in question.tokens]
-    sums = [1] + [0] * spec.d
+    ms = [m for tok in question.tokens if (m := len(lexicon.synonyms(tok)) - 1)]
+    sums = [1] + [0] * min(spec.d, len(ms))
     for m in ms:
-        if m == 0:
-            continue
-        for r in range(min(spec.d, len(sums) - 1), 0, -1):
+        for r in range(len(sums) - 1, 0, -1):
             sums[r] += sums[r - 1] * m
     return sum(sums)
 
@@ -431,8 +431,3 @@ def evaluate_robust(
             f"not {clean_question.id!r}"
         )
     return evaluate_pairs(robust_set.pairs(), clean_question, truth)
-
-
-def plain_set_pairs(uncertainty_set: UncertaintySet) -> frozenset[tuple[int, str]]:
-    """A plain set's (position, token) pairs, for superset checks and ``evaluate_pairs``."""
-    return frozenset(uncertainty_set.tokens)

@@ -2,10 +2,10 @@
 
 A scorer maps a tokenized question to per-token importance scores in [0, 1].
 Built-in kinds: a noisy oracle around the ground truth, a seeded uniform
-scorer, a constant scorer, a lookup table, and a remote HTTP scorer with a
-persistent disk cache. Stochastic kinds derive all randomness from their seed
-and the content being scored, never from global state, so repeated calls are
-reproducible. All oracle noise comes from one batched rule, ``_oracle_scores``.
+scorer, a constant scorer, and a remote HTTP scorer with a persistent disk
+cache. Stochastic kinds derive all randomness from their seed and the content
+being scored, never from global state, so repeated calls are reproducible.
+All oracle noise comes from one batched rule, ``_oracle_scores``.
 
 ``score_many`` scores a chunk of at most ``_SCORE_CHUNK`` questions into one
 flat array, one call each. Each scorer states its rule once, in one of the
@@ -37,7 +37,17 @@ from .core import ImportanceScores, ScoredArrays, TokenizedQuestion, _write_atom
 
 ScoreCacheKey = str
 
-SCORER_KINDS = ("oracle_noise", "uniform_random", "constant", "remote")
+_NUMBER = (numbers.Real, "a number")
+_INTEGER = (numbers.Integral, "an integer")
+# each kind's spec parameters: {kind: {name: (type, what an error calls the type)}}
+_PARAMS = {
+    "oracle_noise": {"sigma": _NUMBER},
+    "uniform_random": {},
+    "constant": {"value": _NUMBER},
+    "remote": {"endpoint": (str, "a string"), "timeout": _NUMBER, "retries": _INTEGER,
+               "backoff": _NUMBER},
+}
+SCORER_KINDS = tuple(_PARAMS)
 
 _NORMAL = NormalDist()
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
@@ -156,26 +166,6 @@ class _ScorerBase:
             f"coordinatewise mode requires a context-free scorer; {self.identity!r} is not")
 
 
-def oracle_noise_score(
-    truth_indices: Iterable[int],
-    tokens: Sequence[str],
-    sigma: float,
-    seed: int,
-) -> ImportanceScores:
-    """Noisy-oracle scores: 1 on ground-truth positions, 0 elsewhere, plus
-    Gaussian noise of scale ``sigma``, clamped back into [0, 1].
-
-    The noise at position j is a deterministic function of
-    (seed, j, token at j), so re-scoring the same content reproduces the same
-    values and the score of a token never depends on the other positions.
-    """
-    if not 0.0 <= sigma < float("inf"):  # NaN fails both
-        raise ScorerError(f"sigma must be finite and >= 0, got {sigma}")
-    k = len(tokens)
-    in_truth = _truth_mask(frozenset(map(int, truth_indices)), k)
-    return ImportanceScores(tuple(_oracle_scores(in_truth, sigma, seed, range(k), tokens)))
-
-
 def _truth_mask(truth: frozenset[int], k: int) -> list[bool]:
     """Whether each position j < k is in ``truth``, which must lie in [0, k)."""
     for j in truth:
@@ -284,26 +274,6 @@ class UniformRandomScorer(_ScorerBase):
                                      for s in suffixes[:len(question.tokens)]]))
         self.calls += len(questions)
         return _unit_uniforms(b"".join(digests))
-
-
-class TableScorer(_ScorerBase):
-    """Deterministic lookup table from token tuples to score vectors."""
-
-    def __init__(self, table: Mapping[Sequence[str], Sequence[float]], identity: str = "table"):
-        super().__init__()
-        self.table = {tuple(toks): tuple(float(v) for v in vals) for toks, vals in table.items()}
-        self.identity = identity
-
-    def score_question(self, question: TokenizedQuestion) -> ImportanceScores:
-        self.calls += 1
-        try:
-            values = self.table[question.tokens]
-        except KeyError:
-            raise ScorerError(
-                f"table scorer {self.identity!r} has no entry for tokens {question.tokens!r}"
-            ) from None
-        _validate_score_values(values, len(question.tokens), self.identity)
-        return ImportanceScores(values)
 
 
 class ScoreCache:
@@ -521,20 +491,6 @@ def truth_map(arrays: ScoredArrays) -> dict[str, frozenset[int]]:
     return dict(zip(arrays.ids, map(frozenset, arrays.positions(arrays.truth))))
 
 
-_ALLOWED_PARAMS = {
-    "oracle_noise": {"sigma", "truth_by_id"},
-    "uniform_random": set(),
-    "constant": {"value"},
-    "remote": {"endpoint", "timeout", "retries", "backoff"},
-}
-
-
-_NUMBER = (numbers.Real, "a number")
-_INTEGER = (numbers.Integral, "an integer")
-_PARAM_TYPES = {"sigma": _NUMBER, "value": _NUMBER, "timeout": _NUMBER, "backoff": _NUMBER,
-                "retries": _INTEGER, "endpoint": (str, "a string")}
-
-
 def make_scorer(
     spec: ScorerSpec,
     truth_by_id: Mapping[str, Iterable[int]] | None = None,
@@ -543,27 +499,25 @@ def make_scorer(
 ) -> _ScorerBase:
     """Build a scorer instance from a declarative spec.
 
-    ``truth_by_id`` supplies the oracle's ground truth when it is not already
-    in ``spec.parameters``; ``cache_dir`` enables the remote scorer's disk
-    cache, and ``workers`` bounds its concurrent requests.
+    ``truth_by_id`` supplies the oracle's ground truth; ``cache_dir`` enables
+    the remote scorer's disk cache, and ``workers`` bounds its concurrent
+    requests.
     """
     if spec.kind not in SCORER_KINDS:
         raise ScorerError(f"unknown scorer kind {spec.kind!r}; expected one of {SCORER_KINDS}")
     params = dict(spec.parameters)
-    unknown = set(params) - _ALLOWED_PARAMS[spec.kind]
+    allowed = _PARAMS[spec.kind]
+    unknown = params.keys() - allowed
     if unknown:
         raise ScorerError(f"unknown parameter(s) {sorted(unknown)} for scorer kind {spec.kind!r}")
     for key, value in params.items():
-        if key not in _PARAM_TYPES:
-            continue
-        kind, what = _PARAM_TYPES[key]
+        kind, what = allowed[key]
         if isinstance(value, bool) or not isinstance(value, kind):
             raise ScorerError(f"scorer parameter {key!r} must be {what}, got {value!r}")
     if spec.kind == "oracle_noise":
-        truth = params.get("truth_by_id", truth_by_id)
-        if truth is None:
+        if truth_by_id is None:
             raise ScorerError("oracle_noise scorer requires ground truth (truth_by_id)")
-        return OracleNoiseScorer(params.get("sigma", 0.0), spec.seed, truth)
+        return OracleNoiseScorer(params.get("sigma", 0.0), spec.seed, truth_by_id)
     if spec.kind == "uniform_random":
         return UniformRandomScorer(spec.seed)
     if spec.kind == "constant":

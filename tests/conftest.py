@@ -1,4 +1,5 @@
-"""Shared builders for the test suite, and a loopback HTTP scoring server."""
+"""Shared builders for the test suite, a lookup-table scorer, the oracle's
+per-token reference formula, and a loopback HTTP scoring server."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from tokencover.core import (
     ScoredArrays,
     TokenizedQuestion,
 )
+from tokencover.scorer import ScorerError, _ScorerBase, _validate_score_values
 
 
 def make_example(
@@ -50,6 +53,43 @@ def random_dataset(rng: np.random.Generator, n: int, k_min: int = 2,
     return ScoredArrays.from_examples(
         random_example(rng, k_min, k_max, qid=f"q{i}") for i in range(n)
     )
+
+
+class TableScorer(_ScorerBase):
+    """Deterministic lookup table from token tuples to score vectors."""
+
+    def __init__(self, table, identity: str = "table"):
+        super().__init__()
+        self.table = {tuple(toks): tuple(float(v) for v in vals) for toks, vals in table.items()}
+        self.identity = identity
+
+    def score_question(self, question: TokenizedQuestion) -> ImportanceScores:
+        self.calls += 1
+        try:
+            values = self.table[question.tokens]
+        except KeyError:
+            raise ScorerError(
+                f"table scorer {self.identity!r} has no entry for tokens {question.tokens!r}"
+            ) from None
+        _validate_score_values(values, len(question.tokens), self.identity)
+        return ImportanceScores(values)
+
+
+def reference_oracle_token(in_truth, sigma, seed, j, token):
+    """The per-token oracle formula, one sha256 and one inv_cdf per token,
+    that the batched kernel must reproduce bit for bit."""
+    v = 1.0 if in_truth else 0.0
+    if sigma > 0:
+        h = hashlib.sha256(f"{seed}|{j}|{token}".encode("utf-8")).digest()
+        v += sigma * NormalDist().inv_cdf((int.from_bytes(h[:8], "big") + 0.5) / 2.0**64)
+    return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
+
+
+def reference_oracle_scores(truth, tokens, sigma, seed) -> ImportanceScores:
+    """One question's oracle scores by ``reference_oracle_token``: the scores
+    the oracle scorer must give, written out apart from the package."""
+    return ImportanceScores(tuple(reference_oracle_token(j in truth, sigma, seed, j, tok)
+                                  for j, tok in enumerate(tokens)))
 
 
 def _token_score(token: str) -> float:

@@ -39,14 +39,13 @@ from tokencover.robust import (
     build_robust_set,
     enumerate_ball,
     evaluate_robust,
-    plain_set_pairs,
     robust_scores,
 )
-from tokencover.scorer import OracleNoiseScorer, TableScorer, oracle_noise_score
+from tokencover.scorer import OracleNoiseScorer
 from tokencover.sets import build_set, evaluate
 from tokencover.sim import SyntheticConfig, run_coverage_experiment
 
-from conftest import random_dataset, random_example
+from conftest import TableScorer, random_dataset, random_example, reference_oracle_scores
 
 
 def emit(capsys, number, ok, detail):
@@ -295,7 +294,7 @@ class TestCriterion5DegeneratePaths:
                 ex.question, lexicon, BallSpec(d=0), scorer, calib
             )
             plain = build_set(ex.question, ex.scores, lam)
-            if rset.pairs() != plain_set_pairs(plain):
+            if rset.pairs() != frozenset(plain.tokens):
                 problems.append("d=0 robust pairs differ from plain set")
             r_eval = evaluate_robust(rset, ex.question, ex.explanation)
             p_eval = evaluate(plain, ex.explanation)
@@ -359,7 +358,7 @@ class TestCriterion7CliRoundTrip:
             k = 6
             tokens = tuple(f"w{i}_{j}" for j in range(k))
             truth = frozenset(int(v) for v in rng.choice(k, size=2, replace=False))
-            scores = oracle_noise_score(truth, tokens, 0.3, 41)
+            scores = reference_oracle_scores(truth, tokens, 0.3, 41)
             examples.append(
                 CalibrationExample(
                     question=TokenizedQuestion(id=f"q{i}", tokens=tokens),

@@ -21,7 +21,9 @@ from tokencover.core import (
     load_dataset,
     write_dataset,
 )
-from tokencover.scorer import ConstantScorer, ScorerError, oracle_noise_score
+from tokencover.scorer import ConstantScorer, ScorerError
+
+from conftest import reference_oracle_scores
 
 SIGMA = 0.3
 SCORER_SEED = 5
@@ -35,7 +37,7 @@ def make_dataset(n=12, k=5, seed=3):
     for i in range(n):
         tokens = tuple(f"w{i}_{j}" for j in range(k))
         truth = frozenset(int(v) for v in rng.choice(k, size=2, replace=False))
-        scores = oracle_noise_score(truth, tokens, SIGMA, SCORER_SEED)
+        scores = reference_oracle_scores(truth, tokens, SIGMA, SCORER_SEED)
         examples.append(
             CalibrationExample(
                 question=TokenizedQuestion(id=f"q{i}", tokens=tokens),
@@ -306,6 +308,22 @@ class TestRobustPredictCommand:
         for rc, re_ in zip(rows_c, rows_e):
             assert rc["items"] == re_["items"]
             assert rc["ball_size"] == re_["ball_size"]
+
+    @pytest.mark.parametrize("ball_mode", ["exact", "coordinatewise"])
+    def test_huge_d_writes_the_whole_ball_output(self, tmp_path, ball_mode):
+        # a 2-token question's ball is whole at d = 2, so d = 10**12 writes the same bytes
+        ds = make_dataset(n=4, k=2)
+        data_path, lex_path = str(tmp_path / "data.jsonl"), tmp_path / "lex.jsonl"
+        write_dataset(ds, data_path)
+        write_lexicon(lex_path, [t for ex in ds.examples for t in ex.question.tokens])
+        _, calib = run_calibrate(tmp_path, data_path)
+        outputs = []
+        for d in ("1000000000000", "2"):
+            out = tmp_path / f"robust-{d}.jsonl"
+            assert self.run(tmp_path, data_path, calib, str(lex_path), out,
+                            extra=["--d", d, "--ball-mode", ball_mode]) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_budget_exceeded_is_input_error(self, robust_workdir, capsys):
         tmp_path, data_path, _, lex_path = robust_workdir

@@ -55,6 +55,8 @@ ROWS = [
                  "run 0 must be an object", id="run-not-an-object"),
     pytest.param([*PREDICT, "--scorer", "constant:value=abc"], PREDICT_FILES, EXIT_INPUT,
                  "scorer parameter 'value' must be a number", id="scorer-value-string"),
+    pytest.param([*PREDICT, "--scorer", "oracle_noise:sigma=abc"], PREDICT_FILES, EXIT_INPUT,
+                 "scorer parameter 'sigma' must be a number", id="scorer-sigma-string"),
     pytest.param(SIMULATE, sim_config({"n_test": 1.5}), EXIT_INPUT,
                  "n_test must be an integer", id="config-float-count"),
     pytest.param(SIMULATE, sim_config({"sigma": True}), EXIT_INPUT,
@@ -143,6 +145,12 @@ ROWS = [
     pytest.param([*PREDICT, "--scorer", "remote:endpoint=http://127.0.0.1:9/,retries=-1"],
                  PREDICT_FILES, EXIT_INPUT, "retries must be >= 0, got -1",
                  id="scorer-retries-negative"),
+    pytest.param([*PREDICT, "--scorer", "oracle_noise:sigma=0.3,truth_by_id=x"], PREDICT_FILES,
+                 EXIT_INPUT, "unknown parameter(s) ['truth_by_id']",
+                 id="predict-oracle-truth-by-id"),
+    pytest.param([*ROBUST_PREDICT, "--scorer", "oracle_noise:sigma=0.3,truth_by_id=x"],
+                 {**calibration_files(), "lex.jsonl": ""}, EXIT_INPUT,
+                 "unknown parameter(s) ['truth_by_id']", id="robust-predict-oracle-truth-by-id"),
 ]
 
 # Well-typed calibration fields out of range: each exits 2 before any work.

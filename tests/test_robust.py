@@ -32,17 +32,17 @@ from tokencover.robust import (
     evaluate_robust,
     inject_noise,
     load_lexicon,
-    plain_set_pairs,
     robust_scores,
 )
 from tokencover.scorer import (
     ConstantScorer,
     OracleNoiseScorer,
     ScorerError,
-    TableScorer,
     UniformRandomScorer,
 )
 from tokencover.sets import _kept, _set_stats, build_set
+
+from conftest import TableScorer
 
 
 def q(tokens, qid="q0"):
@@ -215,6 +215,13 @@ class TestBallSize:
     def test_d_zero_is_singleton(self):
         lex = group_lexicon(["a", "b", "c"])
         assert ball_size(q(["a", "a"]), lex, BallSpec(d=0)) == 1
+
+    def test_huge_d_is_capped_by_the_perturbable_positions(self):
+        # sums up to d = 10**12 would need terabytes; two positions can change
+        lex = group_lexicon(["a", "a1", "a2"], ["b", "b1"])
+        question = q(["a", "x", "b"])
+        assert ball_size(question, lex, BallSpec(d=10**12)) == \
+            ball_size(question, lex, BallSpec(d=len(question.tokens))) == 6
 
     def test_matches_brute_count(self):
         rng = np.random.default_rng(71)
@@ -446,7 +453,7 @@ class TestBuildRobustSet:
             lam = float(rng.uniform(0, 1))
             plain = build_set(question, scorer.score_question(question), lam)
             robust = build_robust_set(noisy, lex, BallSpec(d=d), scorer, calib(lam))
-            assert plain_set_pairs(plain) <= robust.pairs()
+            assert frozenset(plain.tokens) <= robust.pairs()
 
 
 class TestInjectNoise:
@@ -518,7 +525,7 @@ class TestEvaluateRobust:
         noisy = q(["fine", "day"])
         plain = build_set(noisy, ImportanceScores((0.9, 0.9)), 0.5)
         assert plain.indices == {0, 1}
-        got = evaluate_pairs(plain_set_pairs(plain), clean, GroundTruthExplanation({0, 1}))
+        got = evaluate_pairs(frozenset(plain.tokens), clean, GroundTruthExplanation({0, 1}))
         assert got.covered == 1
         assert got.loss == 0.5
         assert got.n_positions == 2

@@ -24,7 +24,6 @@ from tokencover.scorer import (
     ScoreCache,
     ScorerError,
     ScorerSpec,
-    TableScorer,
     UniformRandomScorer,
     _normal_deviates,
     _oracle_scores,
@@ -32,14 +31,20 @@ from tokencover.scorer import (
     _unit_uniforms,
     cache_key,
     make_scorer,
-    oracle_noise_score,
     truth_map,
 )
 from tokencover.sets import _score_batch
 
+from conftest import TableScorer, reference_oracle_scores, reference_oracle_token
+
 
 def q(tokens, qid="q0", prompt="p"):
     return TokenizedQuestion(id=qid, tokens=tuple(tokens), prompt=prompt)
+
+
+def oracle_values(truth, tokens, sigma, seed):
+    """The oracle scorer's scores of one question whose ground truth is ``truth``."""
+    return OracleNoiseScorer(sigma, seed, {"q0": truth}).score_question(q(tokens)).values
 
 
 UNSTAMPED = CalibrationResult(lambda_hat=0.5, alpha=0.2, n=10, adjusted_bound=0.12,
@@ -111,21 +116,21 @@ def reference_cache_key(prompt, tokens, identity):
 
 class TestOracleNoise:
     def test_zero_sigma_is_exact_indicator(self):
-        scores = oracle_noise_score({0, 2}, ("a", "b", "c"), sigma=0.0, seed=9)
-        assert scores.values == (1.0, 0.0, 1.0)
+        scores = oracle_values({0, 2}, ("a", "b", "c"), sigma=0.0, seed=9)
+        assert scores == (1.0, 0.0, 1.0)
 
     def test_deterministic_for_fixed_seed(self):
         toks = ("w1", "w2", "w3", "w4")
-        a = oracle_noise_score({1}, toks, sigma=0.2, seed=7)
-        b = oracle_noise_score({1}, toks, sigma=0.2, seed=7)
+        a = oracle_values({1}, toks, sigma=0.2, seed=7)
+        b = oracle_values({1}, toks, sigma=0.2, seed=7)
         assert a == b
-        c = oracle_noise_score({1}, toks, sigma=0.2, seed=8)
+        c = oracle_values({1}, toks, sigma=0.2, seed=8)
         assert a != c
 
     def test_single_truth_token_lands_near_one(self):
         # clamped at 1 from above; below 1 only by a few sigma
         sigma = 0.1
-        got = oracle_noise_score({0}, ("word",), sigma=sigma, seed=123).values[0]
+        got = oracle_values({0}, ("word",), sigma=sigma, seed=123)[0]
         assert 1.0 - 3 * sigma <= got <= 1.0
 
     def test_values_always_clamped(self):
@@ -133,7 +138,7 @@ class TestOracleNoise:
         for trial in range(20):
             k = int(rng.integers(1, 8))
             toks = tuple(f"t{int(v)}" for v in rng.integers(0, 100, size=k))
-            vals = oracle_noise_score({0}, toks, sigma=5.0, seed=trial).values
+            vals = oracle_values({0}, toks, sigma=5.0, seed=trial)
             assert all(0.0 <= v <= 1.0 for v in vals)
 
     def test_score_is_context_free(self):
@@ -193,21 +198,12 @@ class TestOracleNoise:
 
     def test_truth_index_out_of_range_raises(self):
         with pytest.raises(ScorerError, match="outside"):
-            oracle_noise_score({5}, ("a", "b"), sigma=0.0, seed=0)
+            OracleNoiseScorer(sigma=0.0, seed=0, truth_by_id={"q0": {5}}).score_question(
+                q(["a", "b"]))
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ScorerError, match="sigma"):
-            oracle_noise_score({0}, ("a",), sigma=-0.1, seed=0)
-
-
-def reference_oracle_token(in_truth, sigma, seed, j, token):
-    """The per-token oracle formula, one sha256 and one inv_cdf per token,
-    that the batched kernel must reproduce bit for bit."""
-    v = 1.0 if in_truth else 0.0
-    if sigma > 0:
-        h = hashlib.sha256(f"{seed}|{j}|{token}".encode("utf-8")).digest()
-        v += sigma * NormalDist().inv_cdf((int.from_bytes(h[:8], "big") + 0.5) / 2.0**64)
-    return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
+            OracleNoiseScorer(sigma=-0.1, seed=0, truth_by_id={"q0": {0}})
 
 
 class TestOracleKernel:
@@ -335,9 +331,9 @@ class TestScoreMany:
     @pytest.mark.parametrize("make, reference", [
         (lambda: UniformRandomScorer(seed=11), uniform_reference),
         (lambda: OracleNoiseScorer(sigma=0.4, seed=11, truth_by_id=BATCH_TRUTH),
-         lambda x: oracle_noise_score(BATCH_TRUTH[x.id], x.tokens, 0.4, 11).values),
+         lambda x: reference_oracle_scores(BATCH_TRUTH[x.id], x.tokens, 0.4, 11).values),
         (lambda: OracleNoiseScorer(sigma=0.0, seed=11, truth_by_id=BATCH_TRUTH),
-         lambda x: oracle_noise_score(BATCH_TRUTH[x.id], x.tokens, 0.0, 11).values),
+         lambda x: reference_oracle_scores(BATCH_TRUTH[x.id], x.tokens, 0.0, 11).values),
     ], ids=["uniform_random", "oracle_noise", "oracle_noise-sigma0"])
     def test_bit_equal_to_score_question(self, make, reference):
         one, many = make(), make()
@@ -639,6 +635,11 @@ class TestMakeScorer:
     def test_oracle_requires_truth(self):
         with pytest.raises(ScorerError, match="truth"):
             make_scorer(ScorerSpec(kind="oracle_noise", parameters={"sigma": 0.1}))
+
+    def test_oracle_truth_is_no_spec_parameter(self):
+        spec = ScorerSpec(kind="oracle_noise", parameters={"sigma": 0.0, "truth_by_id": {"x": {1}}})
+        with pytest.raises(ScorerError, match=r"unknown parameter\(s\) \['truth_by_id'\]"):
+            make_scorer(spec, truth_by_id={"x": {1}})
 
     def test_identities_distinguish_configurations(self):
         a = make_scorer(ScorerSpec(kind="constant", parameters={"value": 0.5}))

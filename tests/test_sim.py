@@ -13,7 +13,6 @@ from tokencover.robust import (
     evaluate_pairs,
     evaluate_robust,
     inject_noise,
-    plain_set_pairs,
     robust_scores,
     threshold_robust_scores,
 )
@@ -387,8 +386,8 @@ class TestRobustTrialMatchesPerQuestionPath:
                     rset = threshold_robust_scores(noisy, table, lam, 0)
                     evals.append(evaluate_robust(rset, q, truth))
                     noisy_set = build_set(noisy, oracle.score_question(noisy), lam)
-                    comparator.append(evaluate_pairs(plain_set_pairs(noisy_set), q, truth))
-                    clean_pairs = plain_set_pairs(build_set(q, ex.scores, lam))
+                    comparator.append(evaluate_pairs(frozenset(noisy_set.tokens), q, truth))
+                    clean_pairs = frozenset(build_set(q, ex.scores, lam).tokens)
                     superset.append(1.0 if clean_pairs <= rset.pairs() else 0.0)
                 assert res["mean_loss"] == np.mean([e.loss for e in evals])
                 assert res["mean_set_size"] == np.mean([e.n_positions for e in evals])

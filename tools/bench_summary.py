@@ -9,9 +9,12 @@ workload and end-to-end metric, the median and quartiles over seeds, with
 each seed's ``correct`` and ``failed`` and the machine (nproc, CPU, Python,
 numpy). It refuses records of different sources (``source_sha256``). It then
 runs the tier-1 suite once on this checkout and records its counts and wall
-time under ``tier1``. The second form prints each metric's ratio, second file
-over first, and marks a move in the worse direction larger than the metric's
-bound in BENCHMARK.json. Standard library only.
+time under ``tier1``, and the size of ``src/`` under ``size``: the line count
+of ``src/tokencover/*.py`` and the number of names in ``tokencover.__all__``.
+The second form prints each metric's ratio, second file over first, and marks
+a move in the worse direction larger than the metric's bound in
+BENCHMARK.json, then each file's tier-1 and size records. Standard library
+only.
 """
 
 from __future__ import annotations
@@ -70,6 +73,17 @@ def tier1() -> dict:
             "wall_s": round(wall, 1), "summary": summary}
 
 
+def size() -> dict:
+    """The size of ``src/``: the lines of ``src/tokencover/*.py``, counted as
+    ``wc -l`` counts them, and the names in ``tokencover.__all__``, read by
+    importing the package in a child process with ``src`` on the path."""
+    lines = sum(p.read_bytes().count(b"\n") for p in (ROOT / "src" / "tokencover").glob("*.py"))
+    count = "import tokencover; print(len(tokencover.__all__))"
+    proc = subprocess.run([sys.executable, "-c", count], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True)
+    return {"src_lines": lines, "all_names": int(proc.stdout)}
+
+
 def spread(values: list[float]) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 \
         else values * 3
@@ -98,6 +112,9 @@ def compare(a_path: Path, b_path: Path) -> None:
             t = doc["tier1"]
             print(f"{path.name}: tier-1 {t['passed']} passed, {t['failed']} failed, "
                   f"{t['wall_s']} s wall")
+        if "size" in doc:
+            print(f"{path.name}: src/ {doc['size']['src_lines']} lines, "
+                  f"{doc['size']['all_names']} names in __all__")
 
 
 def main() -> int:
@@ -114,6 +131,7 @@ def main() -> int:
         ap.error("give --out or --compare")
     summary = summarise(args.records)
     summary["tier1"] = tier1()
+    summary["size"] = size()
     args.out.write_text(json.dumps(summary, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {args.out}", file=sys.stderr)
     return 0

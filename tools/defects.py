@@ -204,6 +204,18 @@ DEFECTS = [
            "src/tokencover/robust.py",
            "slot_at: list[dict[str, int]] = [{} for _ in question.tokens]",
            "slot_at: list[dict[str, int]] = [{}] * len(question.tokens)"),
+    Defect("AO", "`ball_size` caps d one position short of the perturbable positions",
+           "src/tokencover/robust.py",
+           "sums = [1] + [0] * min(spec.d, len(ms))",
+           "sums = [1] + [0] * min(spec.d, len(ms) - 1)"),
+    Defect("AP", "the oracle kind's parameter table loses the type of `sigma`",
+           "src/tokencover/scorer.py",
+           '"oracle_noise": {"sigma": _NUMBER},',
+           '"oracle_noise": {"sigma": (object, "anything")},'),
+    Defect("AQ", "the oracle kind takes `truth_by_id` as a spec parameter again",
+           "src/tokencover/scorer.py",
+           '"oracle_noise": {"sigma": _NUMBER},',
+           '"oracle_noise": {"sigma": _NUMBER, "truth_by_id": (object, "a mapping")},'),
 ]
 
 
